@@ -55,7 +55,7 @@ test-short:
 # Run without -race: the detector's instrumentation allocates, so the
 # tests skip themselves there.
 alloc-gate:
-	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/machine ./internal/synth ./internal/flow
+	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/machine ./internal/synth ./internal/flow ./internal/md
 
 # The CI bench lane: every paper artifact once, the hot-path micro-bench
 # report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the

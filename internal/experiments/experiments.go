@@ -231,29 +231,22 @@ func Fig9a(sizes []int, warm, measure int) []Fig9aPoint {
 		pt := Fig9aPoint{Atoms: n,
 			PaperINZLo: 0.32, PaperINZHi: 0.40,
 			PaperBothLo: 0.45, PaperBothHi: 0.62}
-		for _, mode := range []serdes.CompressConfig{
-			{INZ: true},
-			{INZ: true, Pcache: true},
-		} {
-			sys := md.NewWater(n, 300, sim.NewRand(1234))
-			r := traffic.NewReplayer(Shape8, sys.Box, mode)
-			for i := 0; i < warm; i++ {
-				r.ReplayStep(sys)
-				sys.Step()
+		// Replay only reads the system, so one trajectory feeds both modes.
+		sys := md.NewWater(n, 300, sim.NewRand(1234))
+		inz := traffic.NewReplayer(Shape8, sys.Box, serdes.CompressConfig{INZ: true})
+		both := traffic.NewReplayer(Shape8, sys.Box, serdes.CompressConfig{INZ: true, Pcache: true})
+		var inz0, both0 serdes.Stats
+		for i := 0; i < warm+measure; i++ {
+			if i == warm {
+				inz0, both0 = inz.Snapshot(), both.Snapshot()
 			}
-			before := r.Snapshot()
-			for i := 0; i < measure; i++ {
-				r.ReplayStep(sys)
-				sys.Step()
-			}
-			st := traffic.Delta(r.Stats(), before)
-			if mode.Pcache {
-				pt.INZPlusPcache = st.Reduction()
-				pt.PcacheHitRate = r.CacheStats().HitRate()
-			} else {
-				pt.INZOnly = st.Reduction()
-			}
+			inz.ReplayStep(sys)
+			both.ReplayStep(sys)
+			sys.Step()
 		}
+		pt.INZOnly = traffic.Delta(inz.Stats(), inz0).Reduction()
+		pt.INZPlusPcache = traffic.Delta(both.Stats(), both0).Reduction()
+		pt.PcacheHitRate = both.CacheStats().HitRate()
 		out = append(out, pt)
 	}
 	return out

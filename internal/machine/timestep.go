@@ -280,8 +280,9 @@ func (e *Engine) setup(t0 sim.Time) {
 	}
 
 	// PPIM work per streamed atom: balanced split of the global pair count
-	// (water is homogeneous; per-node imbalance is a few percent).
-	pairs := e.sys.PairCount()
+	// (water is homogeneous; per-node imbalance is a few percent). The
+	// last force evaluation counted it on these very positions.
+	pairs := e.sys.Pairs
 	perChipPairs := pairs / nNodes
 	cyclePs := m.Clock.Period()
 	for i := range e.states {

@@ -1,10 +1,14 @@
 package md
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"anton3/internal/fixp"
 	"anton3/internal/sim"
+	"anton3/internal/testutil"
 	"anton3/internal/topo"
 )
 
@@ -97,6 +101,130 @@ func TestPairCountReasonable(t *testing.T) {
 	perAtom := 2 * float64(pairs) / float64(s.N)
 	if perAtom < 70 || perAtom > 140 {
 		t.Fatalf("neighbors per atom = %.0f, want ~100", perAtom)
+	}
+}
+
+// refForces is the force loop ComputeForces replaced: head-insertion
+// linked-list cells scanned over the same cell-pair list, with a per-pair
+// MinImage. It is the reference for bit identity.
+func refForces(s *System) (force []fixp.Vec, pot float64, pairs int) {
+	c := s.cells
+	heads := make([]int32, c.perSide*c.perSide*c.perSide)
+	next := make([]int32, s.N)
+	for i := range heads {
+		heads[i] = -1
+	}
+	axis := func(x float64) int { return min(int(x/c.cellSize), c.perSide-1) }
+	for i, p := range s.Pos {
+		cell := axis(p.X) + c.perSide*(axis(p.Y)+c.perSide*axis(p.Z))
+		next[i] = heads[cell]
+		heads[cell] = int32(i)
+	}
+	force = make([]fixp.Vec, s.N)
+	rc2 := Cutoff * Cutoff
+	sr6c := pow6(Sigma * Sigma / rc2)
+	shift := 4 * Epsilon * (sr6c*sr6c - sr6c)
+	pair := func(i, j int32) {
+		d := MinImage(s.Pos[i], s.Pos[j], s.Box)
+		r2 := d.Norm2()
+		if r2 >= rc2 || r2 == 0 {
+			return
+		}
+		sr2 := Sigma * Sigma / r2
+		sr6 := pow6(sr2)
+		sr12 := sr6 * sr6
+		fmag := 24 * Epsilon * (2*sr12 - sr6) / r2
+		f := d.Scale(fmag)
+		force[i] = force[i].Add(f)
+		force[j] = force[j].Sub(f)
+		pot += 4*Epsilon*(sr12-sr6) - shift
+		pairs++
+	}
+	for _, cp := range c.pairs {
+		for i := heads[cp.a]; i >= 0; i = next[i] {
+			j := heads[cp.b]
+			if cp.a == cp.b {
+				j = next[i]
+			}
+			for ; j >= 0; j = next[j] {
+				pair(i, j)
+			}
+		}
+	}
+	return force, pot, pairs
+}
+
+func TestForcesBitIdenticalToLinkedListScan(t *testing.T) {
+	// perSide 2, 3, 4, 5, 6, 11, 13: the MinImage fallback, the
+	// perSide == 4 edge of the shift argument, and production sizes.
+	sizes := []int{512, 1000, 2048, 4096, 8000, 32751, 65000}
+	if testing.Short() {
+		sizes = sizes[:5]
+	}
+	for _, n := range sizes {
+		s := smallSystem(n)
+		for step := 0; step <= 4; step++ {
+			if step > 0 {
+				s.Step()
+			}
+			force, pot, pairs := refForces(s)
+			at := fmt.Sprintf("%d atoms (perSide %d) step %d", n, s.cells.perSide, step)
+			if math.Float64bits(s.Potential) != math.Float64bits(pot) || s.Pairs != pairs {
+				t.Fatalf("%s: potential %v pairs %d, reference %v %d", at, s.Potential, s.Pairs, pot, pairs)
+			}
+			for i, f := range force {
+				g := s.Force[i]
+				if math.Float64bits(g.X) != math.Float64bits(f.X) ||
+					math.Float64bits(g.Y) != math.Float64bits(f.Y) ||
+					math.Float64bits(g.Z) != math.Float64bits(f.Z) {
+					t.Fatalf("%s: atom %d force %v, reference %v", at, i, g, f)
+				}
+			}
+		}
+	}
+}
+
+func TestPairsMatchesPairCount(t *testing.T) {
+	for _, n := range []int{512, 4096} {
+		s := smallSystem(n)
+		for step := 0; step <= 3; step++ {
+			if step > 0 {
+				s.Step()
+			}
+			if got := s.PairCount(); s.Pairs != got {
+				t.Fatalf("%d atoms step %d: Pairs %d, PairCount %d", n, step, s.Pairs, got)
+			}
+		}
+	}
+}
+
+func TestComputeForcesAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	s := smallSystem(4096)
+	s.Step()
+	if n := testing.AllocsPerRun(5, s.ComputeForces); n != 0 {
+		t.Fatalf("ComputeForces: %.1f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { s.PairCount() }); n != 0 {
+		t.Fatalf("PairCount: %.1f allocs/op, want 0", n)
+	}
+}
+
+func TestNonFinitePositionPanics(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := smallSystem(512)
+		s.Pos[17].Y = bad
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "md: atom 17 position ") || !strings.HasSuffix(msg, " not finite") {
+					t.Fatalf("position %v: panic %q, want md: atom 17 position ... not finite", bad, msg)
+				}
+			}()
+			s.ComputeForces()
+		}()
 	}
 }
 

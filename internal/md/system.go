@@ -56,6 +56,8 @@ type System struct {
 	cells *cellList
 	// Potential is the total LJ energy of the last force evaluation.
 	Potential float64
+	// Pairs is the number of in-cutoff pairs of the last force evaluation.
+	Pairs int
 	// Steps counts integration steps taken.
 	Steps int
 }
