@@ -49,13 +49,14 @@ test-short:
 	python3 -c "import json; ev=json.load(open('/tmp/anton3-trace.json'))['traceEvents']; assert any(e['ph']=='X' for e in ev), 'no slices'; print('trace smoke:', len(ev), 'events')"
 
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
-# steady-state machine.Send (request and response classes), the synth
-# harness inner loop and the closed-loop saturate point at 0 allocs/op,
-# plus the MD timestep budget (allocs/step must not scale with atoms).
+# warm kernel schedule/pop path, the steady-state machine.Send (request and
+# response classes), the synth harness inner loop and the closed-loop
+# saturate point at 0 allocs/op, plus the MD timestep budget (allocs/step
+# must not scale with atoms).
 # Run without -race: the detector's instrumentation allocates, so the
 # tests skip themselves there.
 alloc-gate:
-	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/machine ./internal/synth ./internal/flow ./internal/md
+	$(GO) test -run 'AllocFree|TimestepAllocBudget|TestKernelScheduleZeroAllocs' -count=1 ./internal/sim ./internal/machine ./internal/synth ./internal/flow ./internal/md
 
 # The CI bench lane: every paper artifact once, the hot-path micro-bench
 # report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the

@@ -48,6 +48,9 @@ func TestFaultPointShardInvariance(t *testing.T) {
 					t.Fatalf("%s/%s: point at %d shards %+v, want %+v",
 						name, pol.Name(), shards, got, ref)
 				}
+				if n := unrankedTies(h); n != 0 {
+					t.Fatalf("%s/%s at %d shards: %d unranked tie compares", name, pol.Name(), shards, n)
+				}
 			}
 		}
 	}

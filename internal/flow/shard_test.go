@@ -9,13 +9,25 @@ import (
 	"anton3/internal/topo"
 )
 
+// unrankedTies sums the same-time compares of h's last point that fell
+// back to schedule order because an event had no lineage (see
+// sim.Kernel.UnrankedTies): lineage pins every tie only while it is 0.
+func unrankedTies(h *Harness) uint64 {
+	var n uint64
+	for s := 0; s < h.m.NumShards(); s++ {
+		n += h.m.ShardKernel(s).UnrankedTies()
+	}
+	return n
+}
+
 // TestSaturateShardCountInvariance is the tier-1 guarantee behind running
 // `anton3 saturate` with -shards: a closed-loop grid must be byte-identical
 // at every shard count. It is a harder case than the netsweep analog:
 // besides same-picosecond channel ties, the closed loop's credit returns,
 // head-of-line unparks and source revivals are all runtime events whose
-// relative order lineage must pin. All four policies run, including the
-// credit-steered one whose per-hop decisions read live credit state.
+// relative order lineage must pin — every one of them ranked, with no
+// unranked tie. All four policies run, including the credit-steered one
+// whose per-hop decisions read live credit state.
 func TestSaturateShardCountInvariance(t *testing.T) {
 	shape := topo.Shape{X: 4, Y: 4, Z: 4}
 	pols := route.SaturatePolicies()
@@ -35,6 +47,9 @@ func TestSaturateShardCountInvariance(t *testing.T) {
 			h := NewHarness(shape, pol, 1, 0, 0)
 			for _, load := range loads {
 				ref = append(ref, h.RunPoint(pat, load, packets, warmup, 77))
+				if n := unrankedTies(h); n != 0 {
+					t.Fatalf("%s/%s load %.1f: %d unranked tie compares", pol.Name(), pat.Name, load, n)
+				}
 			}
 			for _, shards := range []int{2, 4} {
 				hs := NewHarness(shape, pol, shards, 0, 0)
@@ -42,6 +57,10 @@ func TestSaturateShardCountInvariance(t *testing.T) {
 					if got := hs.RunPoint(pat, load, packets, warmup, 77); got != ref[li] {
 						t.Fatalf("%s/%s load %.1f: point at %d shards %+v, want %+v",
 							pol.Name(), pat.Name, load, shards, got, ref[li])
+					}
+					if n := unrankedTies(hs); n != 0 {
+						t.Fatalf("%s/%s load %.1f at %d shards: %d unranked tie compares",
+							pol.Name(), pat.Name, load, shards, n)
 					}
 				}
 			}

@@ -430,8 +430,7 @@ func (m *Machine) ShardOf(c topo.Coord) int { return m.Node(c).sh.id }
 func (m *Machine) NodeKernel(c topo.Coord) *sim.Kernel { return m.Node(c).sh.k }
 
 // ShardKernel returns shard s's kernel (shard 0 is the machine's one
-// kernel on single-shard machines). Harnesses that bulk-stage setup events
-// via Kernel.StageActor seal every shard's staged lane through this.
+// kernel on single-shard machines).
 func (m *Machine) ShardKernel(s int) *sim.Kernel { return m.shards[s].k }
 
 // nextPktID hands out packet IDs for single-shard engine paths.

@@ -75,8 +75,10 @@ const (
 // The engine runs on sharded machines: every runtime event is either a
 // Lineaged actor (position packets, stream actors, force packets) whose
 // same-timestamp order is a pure function of its content, or an order-pure
-// bookkeeping event (unload, integration keep-alive) whose effect does not
-// depend on same-timestamp ordering. All randomness is pre-drawn at setup
+// bookkeeping event (unload, integration keep-alive, fence completion)
+// whose effect does not depend on same-timestamp ordering. The bookkeeping
+// events are the engine's unranked runtime events (see
+// sim.Kernel.UnrankedTies). All randomness is pre-drawn at setup
 // from shard 0's rng in flat atom-major order. Steps therefore produce
 // byte-identical results at every shard count — including one, which runs
 // under ForceLineageRun so the reference order is the same content-based
@@ -599,7 +601,12 @@ func (e *Engine) maybeUnload(st *nodeStep) {
 }
 
 // timestepKeepAlive holds a node's kernel clock open to its integration
-// completion without allocating a closure per node per step.
+// completion without allocating a closure per node per step. Like the
+// unload actor and the fence's completion callbacks, it is an unranked
+// runtime event (not sim.Lineaged): a tie with it falls back to schedule
+// order and counts in the kernel's UnrankedTies, so engine runs report a
+// nonzero count. It does nothing when it fires, so its place among
+// same-time events cannot change a result.
 var timestepKeepAlive = func() {}
 
 // maybeIntegrate runs GC integration once every force (stored-set unload

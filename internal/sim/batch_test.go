@@ -34,9 +34,8 @@ func (c *chainTestActor) Lineage() ([]Time, uint64) { return c.hist, c.inj }
 
 // buildBatchWorkload schedules an identical randomized workload into k:
 // many actors starting at colliding times (small time range), each
-// chaining through random positive delays. Half the actors go through the
-// staged lane, half through the heap, so the pop-time ladder merge is
-// exercised; lineage mode is switched on after setup when asked.
+// chaining through random positive delays; lineage mode is switched on
+// after setup when asked.
 func buildBatchWorkload(k *Kernel, log *[]string, seed uint64, lineage bool) {
 	rng := NewRand(seed)
 	for i := 0; i < 64; i++ {
@@ -45,14 +44,8 @@ func buildBatchWorkload(k *Kernel, log *[]string, seed uint64, lineage bool) {
 		for h := 0; h < hops; h++ {
 			a.delays = append(a.delays, Time(1+rng.Intn(5)))
 		}
-		at := Time(rng.Intn(40))
-		if i%2 == 0 {
-			k.StageActor(at, a)
-		} else {
-			k.AtActor(at, a)
-		}
+		k.AtActor(Time(rng.Intn(40)), a)
 	}
-	k.SealStage()
 	if lineage {
 		k.BeginLineageOrder()
 	}
@@ -115,9 +108,8 @@ type countActor struct{ n int }
 func (a *countActor) Act() { a.n++ }
 
 // TestStepBatchZeroAllocsWhenWarm pins the batch path's steady state: once
-// the kernel's batch buffer, heap and event pool have grown, draining and
-// firing a timestamp batch (including the staged-lane merge) allocates
-// nothing — the property that lets ParallelExec windows run through
+// the kernel's batch buffer, queue tiers and event pool have grown,
+// draining and firing a timestamp batch allocates nothing — the property that lets ParallelExec windows run through
 // RunUntilBatch without the per-window garbage the outbox path used to
 // produce.
 func TestStepBatchZeroAllocsWhenWarm(t *testing.T) {
@@ -126,13 +118,8 @@ func TestStepBatchZeroAllocsWhenWarm(t *testing.T) {
 	fire := func() {
 		at := k.Now() + 1
 		for i := range actors {
-			if i%2 == 0 {
-				k.StageActor(at, &actors[i])
-			} else {
-				k.AtActor(at, &actors[i])
-			}
+			k.AtActor(at, &actors[i])
 		}
-		k.SealStage()
 		k.StepBatch()
 	}
 	for i := 0; i < 16; i++ {

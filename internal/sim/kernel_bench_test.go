@@ -53,38 +53,63 @@ func TestKernelScheduleZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRunUntilPeeksCachedRoot pins the root-timestamp cache: RunUntil must
-// stop exactly at the cached earliest event, and the cache must track
-// schedule/pop churn (including At calls made while paused mid-drain).
-func TestRunUntilPeeksCachedRoot(t *testing.T) {
+// TestRunUntilPeeksEarliest pins the peek RunUntil stops on: nextAt must
+// report the earliest pending event and track schedule/pop churn, including
+// At calls made while paused mid-drain that land before an already sorted
+// bucket, and events placed in the ring and past its window.
+func TestRunUntilPeeksEarliest(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
 	rec := func() { fired = append(fired, k.Now()) }
-	for _, at := range []Time{50, 10, 30, 70} {
+	far := Time(ringSize) << bucketShift * 3
+	for _, at := range []Time{50, 10, 30, 70, 5000, 4000, far} {
 		k.At(at, rec)
 	}
-	if k.rootAt != 10 {
-		t.Fatalf("rootAt = %v after scheduling, want 10", k.rootAt)
+	peek := func(want Time) {
+		t.Helper()
+		if at, ok := k.nextAt(); !ok || at != want {
+			t.Fatalf("nextAt = %v, %v; want %v, true", at, ok, want)
+		}
 	}
+	peek(10)
 	if k.RunUntil(30) {
 		t.Fatal("queue should not have drained by t=30")
 	}
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
 		t.Fatalf("fired %v, want [10 30]", fired)
 	}
-	if k.rootAt != 50 {
-		t.Fatalf("rootAt = %v mid-drain, want 50", k.rootAt)
-	}
-	// A newly scheduled earlier event must refresh the cache.
+	peek(50)
+	// A newly scheduled earlier event must be the next one.
 	k.At(40, rec)
-	if k.rootAt != 40 {
-		t.Fatalf("rootAt = %v after At(40), want 40", k.rootAt)
-	}
-	if !k.RunUntil(100) {
-		t.Fatal("queue should have drained")
+	peek(40)
+	if k.RunUntil(100) {
+		t.Fatal("queue should not have drained by t=100")
 	}
 	if len(fired) != 5 || fired[2] != 40 || fired[4] != 70 {
 		t.Fatalf("fired %v", fired)
+	}
+	peek(4000)
+	if k.RunUntil(4000) {
+		t.Fatal("queue should not have drained by t=4000")
+	}
+	// The bucket of 5000 is now active; 4500 lands before its head.
+	peek(5000)
+	k.At(4500, rec)
+	peek(4500)
+	if !k.RunUntil(far) {
+		t.Fatal("queue should have drained")
+	}
+	want := []Time{10, 30, 40, 50, 70, 4000, 4500, 5000, far}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+	if _, ok := k.nextAt(); ok {
+		t.Fatal("nextAt reports an event on a drained kernel")
 	}
 }
 
@@ -117,6 +142,47 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	tick = func() { k.After(Time(1+r.Intn(997)), tick) }
 	for i := 0; i < depth; i++ {
 		k.At(Time(r.Intn(997)), tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.step()
+	}
+}
+
+// horizonActor is a packet-like Lineaged actor for the network-horizon
+// benchmark: it records its fire time as its newest history entry and
+// reschedules itself a drawn hop latency later.
+type horizonActor struct {
+	k    *Kernel
+	r    *Rand
+	hist [1]Time
+	inj  uint64
+}
+
+func (a *horizonActor) Act() {
+	a.hist[0] = a.k.Now()
+	a.k.AfterActor(2+2*Time(a.r.Intn(20000)), a)
+}
+
+func (a *horizonActor) Lineage() ([]Time, uint64) { return a.hist[:], a.inj }
+
+// BenchmarkKernelNetworkHorizon measures the queue under the shape the
+// network simulation gives it: ~20k pending lineage-mode events, all within
+// a 40 ns horizon, hop latencies on a 2 ps grid so a timestamp holds ~1.6
+// events on average and same-time ties are routine.
+func BenchmarkKernelNetworkHorizon(b *testing.B) {
+	const pending = 20000
+	k := NewKernel()
+	r := NewRand(4)
+	actors := make([]horizonActor, pending)
+	for i := range actors {
+		actors[i] = horizonActor{k: k, r: r, inj: uint64(i)}
+		k.AtActor(2*Time(r.Intn(20000)), &actors[i])
+	}
+	k.BeginLineageOrder()
+	for i := 0; i < 4*pending; i++ {
+		k.step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -221,21 +221,17 @@ func (h *Harness) RunPoint(pat Pattern, load float64, packets, warmup int, seed 
 	injectEnd := h.sched.Draw(h.m, h.shape, pat, float64(h.base)/load, total, seed)
 
 	// Schedule the injections in node-major (setup sequence) order, each
-	// on the kernel of the shard owning its source node. They go to the
-	// kernel's staged lane — a sorted flat array, not the heap — so the
-	// thousands of far-future injection slots never deepen the hot loop's
-	// sift path; SealStage sorts each shard's lane into the exact
-	// (time, setup-sequence) firing order the heap would have produced.
+	// on the kernel of the shard owning its source node. The thousands of
+	// future injection slots wait in the kernel's far heap and enter its
+	// bucket ring as the window reaches them, so they never deepen the hot
+	// loop's queue.
 	for i := 0; i < nodes; i++ {
 		kern := h.m.NodeKernel(h.shape.CoordOf(i))
 		for k := 0; k < total; k++ {
 			flat := i*total + k
 			h.injs[flat] = injector{h: h, flat: int32(flat)}
-			kern.StageActor(h.sched.Times[flat], &h.injs[flat])
+			kern.AtActor(h.sched.Times[flat], &h.injs[flat])
 		}
-	}
-	for s := 0; s < h.m.NumShards(); s++ {
-		h.m.ShardKernel(s).SealStage()
 	}
 
 	h.m.BeginLineageRun()

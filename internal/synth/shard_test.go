@@ -68,8 +68,10 @@ func TestHarnessReuseMatchesFresh(t *testing.T) {
 
 // TestShardedNetsweepStress drives the window/outbox protocol hard —
 // uneven shard counts, saturating adversarial load, several seeds — and
-// checks every result against the sequential run. Under -race this is the
-// regression test for the barrier protocol's happens-before edges.
+// checks every result against the sequential run, with every same-time
+// tie ranked by lineage (no unranked tie compares, see
+// sim.Kernel.UnrankedTies). Under -race this is the regression test for
+// the barrier protocol's happens-before edges.
 func TestShardedNetsweepStress(t *testing.T) {
 	shape := topo.Shape{X: 4, Y: 4, Z: 4}
 	shardCounts := []int{2, 3, 5, 8}
@@ -90,6 +92,11 @@ func TestShardedNetsweepStress(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				if got := h.RunPoint(Tornado(), 3, 16, 4, seed); got != ref {
 					t.Fatalf("seed %d shards %d: %+v, want %+v", seed, shards, got, ref)
+				}
+				for s := 0; s < shards; s++ {
+					if n := h.m.ShardKernel(s).UnrankedTies(); n != 0 {
+						t.Fatalf("seed %d shards %d: shard %d made %d unranked tie compares", seed, shards, s, n)
+					}
 				}
 			}
 		}
