@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short alloc-gate bench bench-parallel bench-saturate bench-md bench-faults lint ci
+.PHONY: build test test-short smoke alloc-gate bench bench-parallel bench-saturate bench-md bench-faults lint ci
 
 build:
 	$(GO) build ./...
@@ -12,41 +12,55 @@ test:
 	$(GO) test ./...
 
 # The CI fast lane: reduced-size (not skipped) tests under the race
-# detector, the allocation gate, plus the netsweep, saturate, faultsweep
-# and MD timestep CLI smokes (the saturate, faultsweep and fig12 smokes
-# also diff sharded vs sequential output — shard-count invariance end to
-# end; the faultsweep smoke pins a dead-link cell with rerouting live),
-# the cache smoke (cold + warm -cache runs byte-identical to uncached,
-# warm run executing zero probes), and the telemetry smoke (-metrics
-# output minus its 'telemetry' lines byte-identical to the plain run and
-# to itself at -shards 2; -trace-events emits a valid Chrome trace-event
-# document).
+# detector, the allocation gate and the CLI smokes.
 test-short:
 	$(GO) test -short -race ./...
 	$(MAKE) alloc-gate
-	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /dev/null
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-sat-seq.txt
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-sat-sh2.txt
+	$(MAKE) smoke
+
+# The CLI smokes, the one copy CI runs too. Each sweep kind (netsweep,
+# saturate, faultsweep with a dead-link cell so rerouting is live) and the
+# MD timestep pipeline (fig12) runs sequential and at -shards 2, and the
+# two outputs must be byte-identical: shard-count invariance end to end.
+# The cache smoke runs the saturate grid cold, warm, and warm at -shards 2
+# into a temp cachedir: every stdout must equal the uncached run, and the
+# -json counters must show the cold run storing everything (0 hits) and
+# the warm run simulating nothing (0 misses). The telemetry smoke requires
+# -metrics output minus its 'telemetry' lines to equal the plain run, the
+# full metrics output to be byte-identical at -shards 2, and
+# -trace-events to emit a Chrome trace-event document with at least one
+# slice and its track metadata.
+SMOKE_GRID = -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q
+ANTON3 = $(GO) run ./cmd/anton3
+
+smoke:
+	$(ANTON3) netsweep $(SMOKE_GRID) > /tmp/anton3-ns-seq.txt
+	$(ANTON3) netsweep $(SMOKE_GRID) -shards 2 > /tmp/anton3-ns-sh2.txt
+	diff /tmp/anton3-ns-seq.txt /tmp/anton3-ns-sh2.txt
+	$(ANTON3) saturate $(SMOKE_GRID) > /tmp/anton3-sat-seq.txt
+	$(ANTON3) saturate $(SMOKE_GRID) -shards 2 > /tmp/anton3-sat-sh2.txt
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-sh2.txt
-	$(GO) run ./cmd/anton3 faultsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -faults "0,0,0:x+:dead" -q > /tmp/anton3-fault-seq.txt
-	$(GO) run ./cmd/anton3 faultsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -faults "0,0,0:x+:dead" -q -shards 2 > /tmp/anton3-fault-sh2.txt
+	$(ANTON3) faultsweep $(SMOKE_GRID) -faults "0,0,0:x+:dead" > /tmp/anton3-fault-seq.txt
+	$(ANTON3) faultsweep $(SMOKE_GRID) -faults "0,0,0:x+:dead" -shards 2 > /tmp/anton3-fault-sh2.txt
 	diff /tmp/anton3-fault-seq.txt /tmp/anton3-fault-sh2.txt
-	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q > /tmp/anton3-md-seq.txt
-	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q -shards 2 > /tmp/anton3-md-sh2.txt
+	$(ANTON3) fig12 -atoms 3000 -steps 2 -q > /tmp/anton3-md-seq.txt
+	$(ANTON3) fig12 -atoms 3000 -steps 2 -q -shards 2 > /tmp/anton3-md-sh2.txt
 	diff /tmp/anton3-md-seq.txt /tmp/anton3-md-sh2.txt
 	@cdir=$$(mktemp -d); \
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-cold.json > /tmp/anton3-sat-cold.txt && \
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-warm.json > /tmp/anton3-sat-warm.txt && \
+	$(ANTON3) saturate $(SMOKE_GRID) -cache -cachedir "$$cdir" -json /tmp/anton3-sat-cold.json > /tmp/anton3-sat-cold.txt && \
+	$(ANTON3) saturate $(SMOKE_GRID) -cache -cachedir "$$cdir" -json /tmp/anton3-sat-warm.json > /tmp/anton3-sat-warm.txt && \
+	$(ANTON3) saturate $(SMOKE_GRID) -cache -cachedir "$$cdir" -shards 2 > /tmp/anton3-sat-warm2.txt && \
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-cold.txt && \
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-warm.txt && \
+	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-warm2.txt && \
 	python3 -c "import json; c=json.load(open('/tmp/anton3-sat-cold.json'))['cache']; w=json.load(open('/tmp/anton3-sat-warm.json'))['cache']; assert c['misses']>0 and c['hits']==0, c; assert w['hits']>0 and w['misses']==0, w; print('cache smoke: cold', c, '-> warm', w)"
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics > /tmp/anton3-sat-met.txt
+	$(ANTON3) saturate $(SMOKE_GRID) -metrics > /tmp/anton3-sat-met.txt
 	grep -v '^telemetry' /tmp/anton3-sat-met.txt | diff - /tmp/anton3-sat-seq.txt
 	grep -q '^telemetry ' /tmp/anton3-sat-met.txt
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics -shards 2 > /tmp/anton3-sat-met2.txt
+	$(ANTON3) saturate $(SMOKE_GRID) -metrics -shards 2 > /tmp/anton3-sat-met2.txt
 	diff /tmp/anton3-sat-met.txt /tmp/anton3-sat-met2.txt
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -trace-events /tmp/anton3-trace.json > /dev/null
-	python3 -c "import json; ev=json.load(open('/tmp/anton3-trace.json'))['traceEvents']; assert any(e['ph']=='X' for e in ev), 'no slices'; print('trace smoke:', len(ev), 'events')"
+	$(ANTON3) saturate $(SMOKE_GRID) -trace-events /tmp/anton3-trace.json > /dev/null
+	python3 -c "import json; ev=json.load(open('/tmp/anton3-trace.json'))['traceEvents']; assert any(e['ph']=='X' for e in ev), 'no slices'; assert any(e['ph']=='M' for e in ev), 'no track metadata'; print('trace smoke:', len(ev), 'events')"
 
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
 # warm kernel schedule/pop path, the steady-state machine.Send (request and

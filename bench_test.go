@@ -34,9 +34,9 @@ func BenchmarkRunnerAll(b *testing.B) {
 	p.AblPcacheSizes = []int{256, 1024}
 	p.AblINZAtoms = 3000
 	p.AblDimWrites = 40
-	p.NetShapes = []topo.Shape{{X: 2, Y: 2, Z: 4}}
-	p.NetLoads = []float64{0.5, 2}
-	p.NetPackets, p.NetWarmup = 16, 4
+	p.Shapes = []topo.Shape{{X: 2, Y: 2, Z: 4}}
+	p.Loads = []float64{0.5, 2}
+	p.Packets, p.Warmup = 16, 4
 	var rep runner.Report
 	for i := 0; i < b.N; i++ {
 		var err error

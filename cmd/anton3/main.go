@@ -22,9 +22,10 @@ import (
 
 	"anton3/internal/experiments"
 	"anton3/internal/fault"
-	"anton3/internal/packet"
+	"anton3/internal/md"
 	"anton3/internal/resultstore"
 	"anton3/internal/runner"
+	"anton3/internal/synth"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
 )
@@ -109,11 +110,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "anton3: -shards must be >= 1 (got %d)\n", *shards)
 		return 2
 	}
-	if *vcq != 0 && *vcq < packet.MaxFlitsPerPkt {
-		fmt.Fprintf(os.Stderr, "anton3: -vcq must be 0 (default depth) or >= %d flits, the largest packet (got %d)\n",
-			packet.MaxFlitsPerPkt, *vcq)
-		return 2
-	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	if *jobs == 0 && *shards > 1 {
 		if *jobs = maxprocs / *shards; *jobs < 1 {
@@ -158,16 +154,15 @@ func run() int {
 
 	p := experiments.DefaultParams()
 	p.Cache = store
-	p.NetShards = *shards
-	p.MDShards = *shards
+	p.Shards = *shards
 	p.Fig5Pairs = *pairs
 	p.Fig12Atoms = *atoms
 	p.Fig9bSteps = *steps
 	p.Fig12Steps = *steps
 	p.Fig9aWarm = *warm
 	p.Fig9aMeasure = *measure
-	p.NetPackets = *npkts
-	p.NetWarmup = *nwarm
+	p.Packets = *npkts
+	p.Warmup = *nwarm
 	p.Saturate = cmd == "saturate"
 	p.MDSweep = cmd == "mdsweep"
 	p.FaultSweep = cmd == "faultsweep"
@@ -175,10 +170,8 @@ func run() int {
 	p.FaultPlan = *faults
 	p.MDAtoms = *mdatoms
 	p.MDSteps = *mdsteps
-	p.SatPackets = *npkts
-	p.SatWarmup = *nwarm
-	p.SatQueueFlits = *vcq
-	p.SatInjDepth = *injq
+	p.QueueFlits = *vcq
+	p.InjDepth = *injq
 	p.Metrics = *metrics
 	var sink *telemetry.TraceSink
 	if *traceEvents != "" {
@@ -186,16 +179,31 @@ func run() int {
 		p.Trace = sink
 	}
 	var err error
-	if p.NetShapes, err = parseShapes(*shapes); err != nil {
+	if p.Shapes, err = parseShapes(*shapes); err != nil {
 		fmt.Fprintln(os.Stderr, "anton3:", err)
 		return 2
 	}
-	p.SatShapes = p.NetShapes
-	if p.NetLoads, err = parseLoads(*loads); err != nil {
+	if p.Loads, err = parseLoads(*loads); err != nil {
 		fmt.Fprintln(os.Stderr, "anton3:", err)
 		return 2
 	}
-	p.SatLoads = p.NetLoads
+	// Bad sizes die here with a readable message, not as a panic deep in
+	// a harness or the MD system builder.
+	cell := synth.Cell{Loads: p.Loads, Packets: p.Packets, Warmup: p.Warmup, QueueFlits: p.QueueFlits, InjDepth: p.InjDepth}
+	if verr := cell.Validate(); verr != nil {
+		fmt.Fprintln(os.Stderr, "anton3: bad -npkts/-nwarm/-vcq/-injq:", verr)
+		return 2
+	}
+	for _, a := range []struct {
+		flag string
+		n    int
+	}{{"-atoms", p.Fig12Atoms}, {"-mdatoms", p.MDAtoms}} {
+		// fig12 and mdsweep run on the 8-node machine.
+		if low := md.MinAtoms(experiments.Shape8); a.n < low {
+			fmt.Fprintf(os.Stderr, "anton3: %s must be >= %d, the smallest system whose home boxes span the cutoff on 2x2x2 (got %d)\n", a.flag, low, a.n)
+			return 2
+		}
+	}
 
 	// Validate a custom fault plan up front, against every selected shape:
 	// a plan naming a channel outside a shape must die here with a readable
@@ -206,7 +214,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "anton3: -faults:", perr)
 			return 2
 		}
-		for _, shape := range p.SatShapes {
+		for _, shape := range p.Shapes {
 			if verr := plan.Validate(shape); verr != nil {
 				fmt.Fprintf(os.Stderr, "anton3: -faults plan does not fit shape %s: %v\n", shape, verr)
 				return 2

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"anton3/internal/packet"
-	"anton3/internal/router"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
 )
@@ -135,6 +134,13 @@ type Latencies struct {
 	FenceRemoteFixedCycles int64
 }
 
+// Router pipeline latencies from Section III-B, in core clock cycles.
+const (
+	CoreUHopCycles = 2 // Core Router per-hop latency in the U direction
+	CoreVHopCycles = 5 // ... and in the V direction
+	EdgeHopCycles  = 3 // Edge Router per-hop latency
+)
+
 // DefaultLatencies is the calibration used by every experiment.
 func DefaultLatencies() Latencies {
 	return Latencies{
@@ -145,9 +151,9 @@ func DefaultLatencies() Latencies {
 		CATxCycles:             6,
 		CARxCycles:             6,
 		ChannelFixed:           26_900 * sim.Picosecond,
-		EdgeHopCycles:          router.EdgeHopCycles,
-		CoreUCycles:            router.CoreUHopCycles,
-		CoreVCycles:            router.CoreVHopCycles,
+		EdgeHopCycles:          EdgeHopCycles,
+		CoreUCycles:            CoreUHopCycles,
+		CoreVCycles:            CoreVHopCycles,
 		FenceMergeCycles:       4,
 		FenceGatherCycles:      64,
 		FenceScatterCycles:     40,

@@ -202,8 +202,8 @@ func TestJobsRegistryShardsAndNetsweep(t *testing.T) {
 		t.Fatal("reducer must follow its shards")
 	}
 	sel = SelectJobs(jobs, "netsweep")
-	if len(sel) != len(p.NetShapes)*6 {
-		t.Fatalf("SelectJobs(netsweep) = %d jobs, want %d", len(sel), len(p.NetShapes)*6)
+	if len(sel) != len(p.Shapes)*6 {
+		t.Fatalf("SelectJobs(netsweep) = %d jobs, want %d", len(sel), len(p.Shapes)*6)
 	}
 	if SelectJobs(jobs, "no-such-job") != nil {
 		t.Fatal("unknown selector should select nothing")
@@ -233,9 +233,9 @@ func TestFig5ShardedMatchesDirect(t *testing.T) {
 // worker counts.
 func TestNetsweepSmoke(t *testing.T) {
 	p := DefaultParams()
-	p.NetShapes = []topo.Shape{{X: 2, Y: 2, Z: 2}}
-	p.NetLoads = []float64{0.5, 2}
-	p.NetPackets, p.NetWarmup = sz(16, 8), 4
+	p.Shapes = []topo.Shape{{X: 2, Y: 2, Z: 2}}
+	p.Loads = []float64{0.5, 2}
+	p.Packets, p.Warmup = sz(16, 8), 4
 	jobs := SelectJobs(Jobs(p), "netsweep")
 	if len(jobs) != 6 {
 		t.Fatalf("want 6 pattern jobs, got %d", len(jobs))

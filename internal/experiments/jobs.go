@@ -38,38 +38,33 @@ type Params struct {
 	AblINZAtoms       int   // INZ interleave ablation system size
 	AblDimWrites      int   // writes per node in the dimension-order ablation
 
-	NetShapes  []topo.Shape // netsweep torus shapes (one job per shape x pattern)
-	NetLoads   []float64    // offered loads swept per cell
-	NetPackets int          // measured packets per node per run
-	NetWarmup  int          // per-node packets injected before measurement
-	// NetShards shards each netsweep machine across that many kernels
-	// (conservative-lookahead parallel simulation; see machine.Config.
-	// Shards). Output is byte-identical at every value; 0 or 1 is the
-	// sequential machine. Saturate cells shard with the same value.
-	NetShards int
+	// Shapes, Loads, Packets and Warmup size the sweep grids (netsweep,
+	// saturate, faultsweep): one cell per shape x pattern, each measuring
+	// every offered load with Packets measured and Warmup warmup packets
+	// per node (per node at unit load in the closed-loop grids, which
+	// scale them with the load so the offered horizon stays
+	// load-independent).
+	Shapes  []topo.Shape
+	Loads   []float64
+	Packets int
+	Warmup  int
+	// QueueFlits and InjDepth configure the closed-loop grids' per-VC
+	// ingress queue depth and per-source injection window; 0 takes the
+	// flow package defaults (bandwidth-delay-product queues, 8-slot
+	// windows).
+	QueueFlits int
+	InjDepth   int
+	// Shards shards each sweep-cell and timestep-engine machine (fig9b,
+	// fig12, mdsweep) across that many kernels (conservative-lookahead
+	// parallel simulation; see machine.Config.Shards). Output is
+	// byte-identical at every value; 0 or 1 is the sequential machine.
+	Shards int
 
 	// Saturate gates the closed-loop saturation grid (anton3 saturate):
 	// the jobs are appended to the registry only when set, so the `all`
 	// output stream stays byte-identical to older trees.
 	Saturate bool
-	// SatShapes/SatLoads/SatPackets/SatWarmup size the saturate grid the
-	// way the Net* fields size netsweep; packets and warmup are per node
-	// at unit load (the closed-loop harness scales them with the load so
-	// the offered horizon stays load-independent).
-	SatShapes  []topo.Shape
-	SatLoads   []float64
-	SatPackets int
-	SatWarmup  int
-	// SatQueueFlits and SatInjDepth configure the per-VC ingress queue
-	// depth and per-source injection window; 0 takes the flow package
-	// defaults (bandwidth-delay-product queues, 8-slot windows).
-	SatQueueFlits int
-	SatInjDepth   int
 
-	// MDShards shards each timestep-engine machine (fig9b, fig12, mdsweep)
-	// across that many kernels, the way NetShards does for netsweep.
-	// Output is byte-identical at every value; 0 or 1 is sequential.
-	MDShards int
 	// MDSweep gates the closed-loop MD backpressure grid (anton3 mdsweep):
 	// like Saturate, the jobs only join the registry when set, so the
 	// `all` output stream stays byte-identical to older trees.
@@ -79,8 +74,7 @@ type Params struct {
 	MDSteps int
 
 	// FaultSweep gates the link-fault knee-shift grid (anton3 faultsweep):
-	// like Saturate, the jobs only join the registry when set. Cells reuse
-	// the saturate grid's shapes, loads, budgets and queue depths.
+	// like Saturate, the jobs only join the registry when set.
 	FaultSweep bool
 	// FaultSeed seeds the drawn fault-severity grid (fault.SeverityGrid):
 	// which links each severity degrades or kills is a deterministic
@@ -133,15 +127,10 @@ func DefaultParams() Params {
 
 		// The paper's 128-node measurement machine plus the 512-node
 		// production scale; 8x8x16 (1024 nodes) is a -shapes flag away.
-		NetShapes:  []topo.Shape{{X: 4, Y: 4, Z: 8}, {X: 8, Y: 8, Z: 8}},
-		NetLoads:   []float64{0.5, 1, 2, 3, 4},
-		NetPackets: 96,
-		NetWarmup:  32,
-
-		SatShapes:  []topo.Shape{{X: 4, Y: 4, Z: 8}, {X: 8, Y: 8, Z: 8}},
-		SatLoads:   []float64{0.5, 1, 2, 3, 4},
-		SatPackets: 96,
-		SatWarmup:  32,
+		Shapes:  []topo.Shape{{X: 4, Y: 4, Z: 8}, {X: 8, Y: 8, Z: 8}},
+		Loads:   []float64{0.5, 1, 2, 3, 4},
+		Packets: 96,
+		Warmup:  32,
 
 		MDAtoms: 8000,
 		MDSteps: 2,
@@ -219,45 +208,6 @@ func fig11Jobs() []runner.Job {
 	return jobs
 }
 
-// cellKey builds a grid cell's cache key under the observability gates:
-// metrics-on cells move to a "+tel" kind (payload and stdout then carry
-// telemetry), and traced cells don't cache at all — a cell hit would
-// skip the simulation whose lifecycle the trace records.
-func cellKey(p Params, kind string, seed uint64, cfg any) resultstore.Key {
-	if p.Trace != nil {
-		return resultstore.Key{}
-	}
-	if p.Metrics {
-		kind += "+tel"
-	}
-	return resultstore.KeyFor(kind, seed, cfg)
-}
-
-// cellRecorder returns a fresh per-cell trace recorder when tracing is
-// armed, nil otherwise; cellDrain hands the filled recorder to the sink
-// under the cell's job name.
-func cellRecorder(p Params) *trace.Recorder {
-	if p.Trace == nil {
-		return nil
-	}
-	return trace.NewRecorder()
-}
-
-func cellDrain(p Params, name string, rec *trace.Recorder) {
-	if rec != nil {
-		p.Trace.Add(name, rec)
-	}
-}
-
-// cellCache resolves the point-level store a traced cell may use: none —
-// point hits would leave holes in the trace — and p.Cache otherwise.
-func cellCache(p Params) *resultstore.Store {
-	if p.Trace != nil {
-		return nil
-	}
-	return p.Cache
-}
-
 // policyNames flattens a policy list into the cache-key config: the
 // policy set is part of what a cell's output depends on.
 func policyNames(pols []route.Policy) []string {
@@ -268,129 +218,144 @@ func policyNames(pols []route.Policy) []string {
 	return names
 }
 
-// sweepCellCfg is the canonical cache-key config of one open- or
-// closed-loop grid cell. Shard and worker counts are deliberately
-// absent: cell output is shard-invariant, so a result computed at any
-// -shards/-jobs serves every other.
-type sweepCellCfg struct {
-	Shape    string
-	Pattern  string
-	Policies []string
-	Loads    []float64
-	Packets  int
-	Warmup   int
-	// QueueFlits/InjDepth only apply to closed-loop (saturate) cells;
-	// they hold the resolved depths, not the 0 the flags pass for
-	// "default", so a default-depth run and an explicit -vcq 64 run
-	// share entries.
+// cellKeyCfg is the canonical cache-key config of one sweep cell. Shard
+// and worker counts are deliberately absent: cell output is
+// shard-invariant, so a result computed at any -shards/-jobs serves every
+// other. QueueFlits/InjDepth hold the resolved depths, not the 0 the
+// flags pass for "default", so a default-depth run and an explicit -vcq
+// 64 run share entries; Severities names a faultsweep cell's fault grid.
+type cellKeyCfg struct {
+	Shape      string
+	Pattern    string
+	Policies   []string
+	Loads      []float64
+	Packets    int
+	Warmup     int
 	QueueFlits int
 	InjDepth   int
+	Severities []string
 }
 
-// netsweepJobs registers one job per shape x pattern, each sweeping every
-// routing policy across the offered loads. Seeds depend on position only,
-// so the grid decomposes freely across workers. Cells are auto-shardable:
-// when the pool has idle workers and -autoshard is on, a cell's machine
-// runs across the spare cores with byte-identical output (pinned by the
-// shard-invariance tier-1 tests). Each cell carries a content-addressed
-// cache key, armed when the pool runs with a result store.
-func netsweepJobs(p Params) []runner.Job {
-	var jobs []runner.Job
-	for si, shape := range p.NetShapes {
-		for pi, pat := range synth.Patterns() {
-			shape, pat := shape, pat
-			seed := uint64(7000 + 100*si + pi)
-			name := fmt.Sprintf("netsweep/%s/%s", shape, pat.Name)
-			run := func(shards int) (runner.Output, error) {
-				rec := cellRecorder(p)
-				r := synth.SweepOpts(shape, route.Policies(), pat, p.NetLoads, p.NetPackets, p.NetWarmup, seed, shards,
-					synth.Opts{Metrics: p.Metrics, Trace: rec})
-				cellDrain(p, name, rec)
-				return runner.Output{Text: r.Render(), Data: r}, nil
-			}
-			job := runner.Job{
-				Name: name,
-				Seed: seed,
-				Cost: 0.1 * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/netsweep", seed, sweepCellCfg{
-					Shape:    shape.String(),
-					Pattern:  pat.Name,
-					Policies: policyNames(route.Policies()),
-					Loads:    p.NetLoads,
-					Packets:  p.NetPackets,
-					Warmup:   p.NetWarmup,
-				}),
-				Run: func(*sim.Rand) (runner.Output, error) {
-					return run(p.NetShards)
-				}}
-			if p.NetShards <= 1 {
-				job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-					return run(shards)
-				}
-			}
-			jobs = append(jobs, job)
+// cellJob builds the runner job of one sweep cell: the name
+// "<kind>/<shape>/<pattern>", the cell seed, the cell cache key and the
+// run, all derived from the cell. Cells are auto-shardable: when the pool
+// has idle workers and -autoshard is on, a cell's machine runs across the
+// spare cores with byte-identical output (pinned by the shard-invariance
+// tier-1 tests). cost is the dispatch hint per 16 nodes.
+func cellJob(p Params, kind string, c synth.Cell, sevs []fault.Severity, cost float64) runner.Job {
+	name := fmt.Sprintf("%s/%s/%s", kind, c.Shape, c.Pattern.Name)
+	key := cellKeyCfg{
+		Shape:      c.Shape.String(),
+		Pattern:    c.Pattern.Name,
+		Policies:   policyNames(c.Policies),
+		Loads:      c.Loads,
+		Packets:    c.Packets,
+		Warmup:     c.Warmup,
+		QueueFlits: c.QueueFlits,
+		InjDepth:   c.InjDepth,
+	}
+	for _, sev := range sevs {
+		key.Severities = append(key.Severities, sev.Name+"="+sev.Plan.Canon())
+	}
+	// Observability gates: metrics-on cells cache under a "+tel" kind
+	// (payload and stdout then carry telemetry), and traced cells cache
+	// nothing — a cell hit would skip, and point hits would leave holes
+	// in, the simulation whose lifecycle the trace records.
+	keyKind, cache, cacheKey := "cell/"+kind, p.Cache, resultstore.Key{}
+	if p.Metrics {
+		keyKind += "+tel"
+	}
+	if p.Trace == nil {
+		cacheKey = resultstore.KeyFor(keyKind, c.Seed, key)
+	} else {
+		cache = nil
+	}
+	run := func(shards int) (runner.Output, error) {
+		opts := synth.Opts{Metrics: p.Metrics, Cache: cache}
+		if p.Trace != nil {
+			opts.Trace = trace.NewRecorder()
+		}
+		var r interface{ Render() string }
+		switch kind {
+		case "netsweep":
+			r = synth.Sweep(c, shards, opts)
+		case "saturate":
+			r = flow.Sweep(c, shards, opts)
+		default:
+			r = flow.FaultSweep(c, shards, opts, sevs)
+		}
+		if opts.Trace != nil {
+			p.Trace.Add(name, opts.Trace)
+		}
+		return runner.Output{Text: r.Render(), Data: r}, nil
+	}
+	return shardable(p, runner.Job{
+		Name:     name,
+		Seed:     c.Seed,
+		Cost:     cost * float64(c.Shape.Nodes()) / 16,
+		CacheKey: cacheKey,
+	}, run)
+}
+
+// shardable completes a job whose machine can run sharded: Run uses
+// p.Shards, and when that leaves the job sequential, ShardRun lets the
+// runner grant it spare cores as kernel shards at dispatch (byte-identical
+// output at any shard count).
+func shardable(p Params, job runner.Job, run func(shards int) (runner.Output, error)) runner.Job {
+	job.Run = func(*sim.Rand) (runner.Output, error) {
+		return run(p.Shards)
+	}
+	if p.Shards <= 1 {
+		job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
+			return run(shards)
 		}
 	}
-	return jobs
+	return job
 }
 
-// saturateJobs registers the closed-loop saturation grid: one job per
-// shape x pattern, each sweeping all four policies (netsweep's trio plus
-// credit-echo) across the offered loads and bisecting for each policy's
-// saturation knee. Like netsweep cells they pre-draw all randomness from
-// the cell seed, so the grid is byte-identical at any worker and shard
-// count, and they are auto-shardable the same way. With a result store,
-// cells memoize at two grains: the whole cell through its CacheKey, and
-// — on a cell miss — every closed-loop point inside flow, so knee
-// searches never re-simulate a (policy x pattern x shape x load) probe
-// any invocation has seen.
-func saturateJobs(p Params) []runner.Job {
+// gridJobs registers one sweep grid: one cell job per shape x pattern,
+// each sweeping every policy across the offered loads, with cell seeds
+// depending on position only (seedBase + 100*shape + pattern) so the grid
+// decomposes freely across workers.
+//
+//   - netsweep: the open loop (VC queues off, unbounded windows), the
+//     three oblivious/adaptive policies.
+//   - saturate: the closed loop with the resolved depths, all four
+//     policies (plus credit-echo), bisecting for each saturation knee.
+//     With a result store, cells memoize at two grains: the whole cell
+//     through its CacheKey, and — on a cell miss — every closed-loop
+//     point inside flow, so knee searches never re-simulate a probe any
+//     invocation has seen.
+//   - faultsweep: saturate's cell under every severity of the fault grid,
+//     reported as knee shifts against the healthy baseline. Severity
+//     plans are canonicalized into the cache key, so a different
+//     -faultseed or -faults plan never collides with a cached cell;
+//     healthy probe points share entries with saturate's.
+func gridJobs(p Params, kind string, seedBase uint64, cost float64) []runner.Job {
+	pols, qf, injd := route.Policies(), 0, 0
+	if kind != "netsweep" {
+		pols = route.SaturatePolicies()
+		qf, injd = flow.Depths(p.QueueFlits, p.InjDepth)
+	}
 	var jobs []runner.Job
-	qf, injd := p.SatQueueFlits, p.SatInjDepth
-	if qf <= 0 {
-		qf = flow.DefaultQueueFlits
-	}
-	if injd <= 0 {
-		injd = flow.DefaultInjDepth
-	}
-	for si, shape := range p.SatShapes {
+	for si, shape := range p.Shapes {
+		var sevs []fault.Severity
+		if kind == "faultsweep" {
+			sevs = faultSevs(p, shape)
+		}
 		for pi, pat := range synth.Patterns() {
-			shape, pat := shape, pat
-			seed := uint64(9000 + 100*si + pi)
-			name := fmt.Sprintf("saturate/%s/%s", shape, pat.Name)
-			run := func(shards int) (runner.Output, error) {
-				rec := cellRecorder(p)
-				r := flow.SweepOpts(shape, route.SaturatePolicies(), pat, p.SatLoads,
-					p.SatPackets, p.SatWarmup, seed, shards, p.SatQueueFlits, p.SatInjDepth, cellCache(p),
-					flow.Opts{Metrics: p.Metrics, Trace: rec})
-				cellDrain(p, name, rec)
-				return runner.Output{Text: r.Render(), Data: r}, nil
+			c := synth.Cell{
+				Shape:      shape,
+				Pattern:    pat,
+				Policies:   pols,
+				Loads:      p.Loads,
+				Packets:    p.Packets,
+				Warmup:     p.Warmup,
+				Seed:       seedBase + uint64(100*si+pi),
+				QueueFlits: qf,
+				InjDepth:   injd,
 			}
-			job := runner.Job{
-				Name: name,
-				Seed: seed,
-				// ~4 policies x (sweep + knee probes) of load-scaled
-				// closed-loop points: roughly 5x a netsweep cell.
-				Cost: 0.5 * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/saturate", seed, sweepCellCfg{
-					Shape:      shape.String(),
-					Pattern:    pat.Name,
-					Policies:   policyNames(route.SaturatePolicies()),
-					Loads:      p.SatLoads,
-					Packets:    p.SatPackets,
-					Warmup:     p.SatWarmup,
-					QueueFlits: qf,
-					InjDepth:   injd,
-				}),
-				Run: func(*sim.Rand) (runner.Output, error) {
-					return run(p.NetShards)
-				}}
-			if p.NetShards <= 1 {
-				job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-					return run(shards)
-				}
-			}
-			jobs = append(jobs, job)
+			jobs = append(jobs, cellJob(p, kind, c, sevs, cost))
 		}
 	}
 	return jobs
@@ -405,16 +370,7 @@ func fig9bJob(p Params) runner.Job {
 		pts := Fig9b(p.Fig9bSizes, p.Fig9bSteps, shards)
 		return runner.Output{Text: RenderFig9b(pts), Data: pts}, nil
 	}
-	job := runner.Job{Name: "fig9b", Seed: 4, Cost: 20,
-		Run: func(*sim.Rand) (runner.Output, error) {
-			return run(p.MDShards)
-		}}
-	if p.MDShards <= 1 {
-		job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-			return run(shards)
-		}
-	}
-	return job
+	return shardable(p, runner.Job{Name: "fig9b", Seed: 4, Cost: 20}, run)
 }
 
 // fig12Job builds the activity-plot job, auto-shardable like fig9b.
@@ -423,16 +379,7 @@ func fig12Job(p Params) runner.Job {
 		r := Fig12(p.Fig12Atoms, p.Fig12Steps, shards)
 		return runner.Output{Text: r.Render(), Data: r}, nil
 	}
-	job := runner.Job{Name: "fig12", Seed: 6, Cost: 15,
-		Run: func(*sim.Rand) (runner.Output, error) {
-			return run(p.MDShards)
-		}}
-	if p.MDShards <= 1 {
-		job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-			return run(shards)
-		}
-	}
-	return job
+	return shardable(p, runner.Job{Name: "fig12", Seed: 6, Cost: 15}, run)
 }
 
 // mdsweepJobs registers the closed-loop MD backpressure grid: one job per
@@ -449,7 +396,7 @@ func mdsweepJobs(p Params) []runner.Job {
 			pts := MDSweepPolicy(pol, p.MDAtoms, p.MDSteps, shards)
 			return runner.Output{Text: RenderMDSweep(p.MDAtoms, p.MDSteps, pts), Data: pts}, nil
 		}
-		job := runner.Job{
+		jobs = append(jobs, shardable(p, runner.Job{
 			Name: fmt.Sprintf("mdsweep/%s", pol.Name()),
 			Seed: uint64(9500 + pi),
 			// Each cell runs len(MDQueueDepths) full timestep pipelines
@@ -461,15 +408,7 @@ func mdsweepJobs(p Params) []runner.Job {
 				Steps  int
 				Depths []int
 			}{pol.Name(), p.MDAtoms, p.MDSteps, MDQueueDepths}),
-			Run: func(*sim.Rand) (runner.Output, error) {
-				return run(p.MDShards)
-			}}
-		if p.MDShards <= 1 {
-			job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-				return run(shards)
-			}
-		}
-		jobs = append(jobs, job)
+		}, run))
 	}
 	return jobs
 }
@@ -487,71 +426,6 @@ func faultSevs(p Params, shape topo.Shape) []fault.Severity {
 		panic("experiments: unvalidated fault plan: " + err.Error())
 	}
 	return []fault.Severity{{Name: "healthy"}, {Name: "custom", Plan: *plan}}
-}
-
-// faultsweepJobs registers the link-fault knee-shift grid: one job per
-// shape x pattern, each locating every saturate policy's knee under every
-// severity of the fault grid and reporting the shift against the healthy
-// baseline. Severity plans are canonicalized into the cache key, so a
-// different -faultseed (different drawn links) or -faults plan can never
-// collide with a cached cell; healthy probe points inside flow share
-// entries with saturate's.
-func faultsweepJobs(p Params) []runner.Job {
-	var jobs []runner.Job
-	qf, injd := p.SatQueueFlits, p.SatInjDepth
-	if qf <= 0 {
-		qf = flow.DefaultQueueFlits
-	}
-	if injd <= 0 {
-		injd = flow.DefaultInjDepth
-	}
-	for si, shape := range p.SatShapes {
-		sevs := faultSevs(p, shape)
-		canons := make([]string, len(sevs))
-		for i, sev := range sevs {
-			canons[i] = sev.Name + "=" + sev.Plan.Canon()
-		}
-		for pi, pat := range synth.Patterns() {
-			shape, pat, sevs := shape, pat, sevs
-			seed := uint64(9700 + 100*si + pi)
-			name := fmt.Sprintf("faultsweep/%s/%s", shape, pat.Name)
-			run := func(shards int) (runner.Output, error) {
-				rec := cellRecorder(p)
-				r := flow.FaultSweepOpts(shape, route.SaturatePolicies(), pat, p.SatLoads,
-					p.SatPackets, p.SatWarmup, seed, sevs, shards, p.SatQueueFlits, p.SatInjDepth, cellCache(p),
-					flow.Opts{Metrics: p.Metrics, Trace: rec})
-				cellDrain(p, name, rec)
-				return runner.Output{Text: r.Render(), Data: r}, nil
-			}
-			job := runner.Job{
-				Name: name,
-				Seed: seed,
-				// len(sevs) saturate-style knee searches per cell.
-				Cost: 2.5 * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/faultsweep", seed, struct {
-					Shape      string
-					Pattern    string
-					Policies   []string
-					Loads      []float64
-					Packets    int
-					Warmup     int
-					QueueFlits int
-					InjDepth   int
-					Severities []string
-				}{shape.String(), pat.Name, policyNames(route.SaturatePolicies()),
-					p.SatLoads, p.SatPackets, p.SatWarmup, qf, injd, canons}),
-				Run: func(*sim.Rand) (runner.Output, error) {
-					return run(p.NetShards)
-				}}
-			if p.NetShards <= 1 {
-				job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-					return run(shards)
-				}
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	return jobs
 }
 
 // Jobs returns every table, figure and ablation of the paper as runner
@@ -625,15 +499,19 @@ func Jobs(p Params) []runner.Job {
 				}, nil
 			}},
 	)
-	jobs = append(jobs, netsweepJobs(p)...)
+	// Cost hints: a saturate cell runs ~4 policies x (sweep + knee
+	// probes) of load-scaled closed-loop points, roughly 5x a netsweep
+	// cell; a faultsweep cell runs one saturate-style knee search per
+	// severity.
+	jobs = append(jobs, gridJobs(p, "netsweep", 7000, 0.1)...)
 	if p.Saturate {
-		jobs = append(jobs, saturateJobs(p)...)
+		jobs = append(jobs, gridJobs(p, "saturate", 9000, 0.5)...)
 	}
 	if p.MDSweep {
 		jobs = append(jobs, mdsweepJobs(p)...)
 	}
 	if p.FaultSweep {
-		jobs = append(jobs, faultsweepJobs(p)...)
+		jobs = append(jobs, gridJobs(p, "faultsweep", 9700, 2.5)...)
 	}
 	return jobs
 }

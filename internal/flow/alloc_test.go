@@ -90,9 +90,10 @@ func BenchmarkSaturationKnee(b *testing.B) {
 		b.Run(fmt.Sprintf("bitcomp/%s", pol.Name()), func(b *testing.B) {
 			var knee float64
 			for i := 0; i < b.N; i++ {
-				curves := SweepPattern(shape, []route.Policy{pol}, synth.BitComplement(),
-					loads, 96, 32, 7000, 1, 0, 0, nil)
-				knee = curves[0].Knee
+				knee = Sweep(synth.Cell{
+					Shape: shape, Pattern: synth.BitComplement(), Policies: []route.Policy{pol},
+					Loads: loads, Packets: 96, Warmup: 32, Seed: 7000,
+				}, 1, synth.Opts{}).Curves[0].Knee
 			}
 			b.ReportMetric(knee, "knee_load")
 		})

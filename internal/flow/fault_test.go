@@ -40,10 +40,10 @@ func TestFaultPointShardInvariance(t *testing.T) {
 	}
 	for name, plan := range plans {
 		for _, pol := range pols {
-			ref := NewFaultHarness(shape, pol, 1, 0, 0, plan).
+			ref := newHarness(shape, pol, 1, 0, 0, plan).
 				RunPoint(synth.Tornado(), 3, 12, 4, 77)
 			for _, shards := range []int{2, 4} {
-				h := NewFaultHarness(shape, pol, shards, 0, 0, plan)
+				h := newHarness(shape, pol, shards, 0, 0, plan)
 				if got := h.RunPoint(synth.Tornado(), 3, 12, 4, 77); got != ref {
 					t.Fatalf("%s/%s: point at %d shards %+v, want %+v",
 						name, pol.Name(), shards, got, ref)
@@ -68,11 +68,14 @@ func TestFaultSweepShardInvariance(t *testing.T) {
 		{Name: "healthy"},
 		{Name: "dead1", Plan: *mustPlan(t, "0,0,1:z+:dead")},
 	}
-	loads := []float64{0.5, 2}
-	ref := FaultSweep(shape, route.SaturatePolicies(), synth.Tornado(), loads, 16, 4, 99, sevs, 1, 0, 0, nil)
+	c := synth.Cell{
+		Shape: shape, Pattern: synth.Tornado(), Policies: route.SaturatePolicies(),
+		Loads: []float64{0.5, 2}, Packets: 16, Warmup: 4, Seed: 99,
+	}
+	ref := FaultSweep(c, 1, synth.Opts{}, sevs)
 	refText := ref.Render()
 	for _, shards := range []int{2, 4} {
-		got := FaultSweep(shape, route.SaturatePolicies(), synth.Tornado(), loads, 16, 4, 99, sevs, shards, 0, 0, nil)
+		got := FaultSweep(c, shards, synth.Opts{}, sevs)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("faultsweep at %d shards differs:\n%s\nvs\n%s", shards, got.Render(), refText)
 		}
@@ -97,7 +100,7 @@ func TestSeverityGridNeverWedges(t *testing.T) {
 		for _, sev := range fault.SeverityGrid(shape, seed) {
 			plan := sev.Plan
 			for _, pol := range route.SaturatePolicies() {
-				h := NewFaultHarness(shape, pol, 1, 0, 0, &plan)
+				h := newHarness(shape, pol, 1, 0, 0, &plan)
 				pt := h.RunPoint(synth.BitComplement(), 3, 12, 4, 55)
 				if pt.Undelivered != 0 {
 					t.Errorf("seed %d %s/%s (%s): %d undelivered at load 3",
@@ -118,7 +121,7 @@ func TestFaultSaturatePointAllocFree(t *testing.T) {
 		t.Skip("alloc counts are not meaningful under -race")
 	}
 	plan := mustPlan(t, "0,0,0:z+:dead;2,2,4:x+:bw/2")
-	h := NewFaultHarness(topo.Shape{X: 4, Y: 4, Z: 8}, route.Random(), 1, 0, 0, plan)
+	h := newHarness(topo.Shape{X: 4, Y: 4, Z: 8}, route.Random(), 1, 0, 0, plan)
 	pat := synth.Tornado()
 	point := func() {
 		h.RunPoint(pat, 2, 16, 4, 7)
@@ -168,7 +171,7 @@ func TestFaultKeySensitivity(t *testing.T) {
 		if spec != "" {
 			plan = mustPlan(t, spec)
 		}
-		h := NewFaultHarness(shape, route.XYZ(), 1, 0, 0, plan)
+		h := newHarness(shape, route.XYZ(), 1, 0, 0, plan)
 		cfg := h.keyCfg
 		cfg.Pattern = "bitcomp"
 		cfg.Load = 1.5
@@ -194,8 +197,10 @@ func BenchmarkFaultKneeShift(b *testing.B) {
 		b.Run(fmt.Sprintf("bitcomp/%s", pol.Name()), func(b *testing.B) {
 			var c FaultCurve
 			for i := 0; i < b.N; i++ {
-				res := FaultSweep(shape, []route.Policy{pol}, synth.BitComplement(),
-					loads, 96, 32, 9700, sevs, 1, 0, 0, nil)
+				res := FaultSweep(synth.Cell{
+					Shape: shape, Pattern: synth.BitComplement(), Policies: []route.Policy{pol},
+					Loads: loads, Packets: 96, Warmup: 32, Seed: 9700,
+				}, 1, synth.Opts{}, sevs)
 				c = res.Curves[0]
 			}
 			b.ReportMetric(c.Healthy, "healthy_knee")

@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"anton3/internal/fault"
-	"anton3/internal/resultstore"
-	"anton3/internal/route"
 	"anton3/internal/synth"
 	"anton3/internal/telemetry"
-	"anton3/internal/topo"
 )
 
 // The faultsweep experiment measures graceful degradation: for each routing
@@ -17,7 +14,7 @@ import (
 // same network under a grid of link-fault severities (degraded bandwidth,
 // degraded latency, one dead link, several dead links), and reports each
 // faulted knee as a shift against the healthy baseline. The methodology is
-// the saturate experiment's — same closed-loop rig, same swept loads, same
+// the saturate experiment's — same closed-loop harness, same swept loads, same
 // per-load seeds, so the healthy row shares cache entries (and bytes) with
 // saturate cells of the same shape and pattern.
 
@@ -49,69 +46,33 @@ type FaultCurve struct {
 
 // FaultResult is one pattern x shape table of the faultsweep experiment.
 type FaultResult struct {
-	Shape      string       `json:"shape"`
-	Nodes      int          `json:"nodes"`
-	Pattern    string       `json:"pattern"`
-	QueueFlits int          `json:"queue_flits"`
-	InjDepth   int          `json:"inj_depth"`
-	Curves     []FaultCurve `json:"curves"`
+	header
+	Curves []FaultCurve `json:"curves"`
 }
 
 // FaultSweep locates every policy's saturation knee under every severity in
 // the grid. The first severity with an empty plan (conventionally sevs[0],
 // "healthy") is the baseline all shifts are measured against; if the grid
 // carries no healthy row, shifts are reported as zero. Swept loads and knee
-// probes reuse the saturate experiment's seeding, so the healthy cells are
-// bit-identical to — and cache-shared with — saturate's. Loads must be
-// ascending, as in SweepPattern.
-func FaultSweep(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, sevs []fault.Severity, shards, queueFlits, injDepth int, cache *resultstore.Store) FaultResult {
-	return FaultSweepOpts(shape, policies, pat, loads, packets, warmup, seed, sevs, shards, queueFlits, injDepth, cache, Opts{})
-}
-
-// FaultSweepOpts is FaultSweep with the observability layer gates.
-// Telemetry aggregates per policy across the whole severity grid; trace
-// tracks are prefixed "<policy>/<severity>" so every harness stays
-// distinguishable.
-func FaultSweepOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, sevs []fault.Severity, shards, queueFlits, injDepth int, cache *resultstore.Store, opts Opts) FaultResult {
-	if queueFlits <= 0 {
-		queueFlits = DefaultQueueFlits
-	}
-	if injDepth <= 0 {
-		injDepth = DefaultInjDepth
-	}
-	res := FaultResult{
-		Shape:      shape.String(),
-		Nodes:      shape.Nodes(),
-		Pattern:    pat.Name,
-		QueueFlits: queueFlits,
-		InjDepth:   injDepth,
-		Curves:     make([]FaultCurve, len(policies)),
-	}
-	for pi, pol := range policies {
-		c := FaultCurve{Policy: pol.Name(), Rows: make([]FaultRow, 0, len(sevs))}
+// probes reuse Sweep's seeding, so the healthy cells are bit-identical to —
+// and cache-shared with — saturate's. Loads must be ascending. Telemetry
+// aggregates per policy across the whole severity grid; trace tracks are
+// prefixed "<policy>/<severity>" so every harness stays distinguishable.
+func FaultSweep(c synth.Cell, shards int, opts synth.Opts, sevs []fault.Severity) FaultResult {
+	res := FaultResult{header: newHeader(c), Curves: make([]FaultCurve, len(c.Policies))}
+	for pi, pol := range c.Policies {
+		fc := FaultCurve{Policy: pol.Name(), Rows: make([]FaultRow, 0, len(sevs))}
 		var agg telemetry.Shard
 		for _, sev := range sevs {
 			plan := sev.Plan
-			h := NewFaultHarness(shape, pol, shards, queueFlits, injDepth, &plan)
-			h.Cache = cache
-			if opts.Metrics {
-				h.EnableMetrics()
-			}
-			if opts.Trace != nil {
-				h.AttachTrace(pol.Name() + "/" + sev.Name)
-			}
-			var pts []Point
-			for li, load := range loads {
-				pts = append(pts, h.RunPoint(
-					pat, load, packets, warmup, seed+uint64(li)*9176,
-				))
-			}
+			h := cellHarness(c, pol, shards, opts, &plan, pol.Name()+"/"+sev.Name)
+			pts := h.sweepLoads(c)
 			row := FaultRow{Severity: sev.Name, Faults: plan.Canon()}
-			row.Knee, row.KneeLB = findKnee(h, pat, pts, packets, warmup, seed)
-			if row.Faults == "" && c.Healthy == 0 {
-				c.Healthy = row.Knee
+			row.Knee, row.KneeLB = findKnee(h, c.Pattern, pts, c.Packets, c.Warmup, c.Seed)
+			if row.Faults == "" && fc.Healthy == 0 {
+				fc.Healthy = row.Knee
 			}
-			c.Rows = append(c.Rows, row)
+			fc.Rows = append(fc.Rows, row)
 			if opts.Metrics {
 				agg.Merge(h.Telemetry())
 			}
@@ -121,14 +82,14 @@ func FaultSweepOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern
 		}
 		if opts.Metrics {
 			sum := agg.Summary()
-			c.Tel = &sum
+			fc.Tel = &sum
 		}
-		for ri := range c.Rows {
-			if c.Healthy > 0 {
-				c.Rows[ri].ShiftPct = (c.Healthy - c.Rows[ri].Knee) / c.Healthy * 100
+		for ri := range fc.Rows {
+			if fc.Healthy > 0 {
+				fc.Rows[ri].ShiftPct = (fc.Healthy - fc.Rows[ri].Knee) / fc.Healthy * 100
 			}
 		}
-		res.Curves[pi] = c
+		res.Curves[pi] = fc
 	}
 	return res
 }

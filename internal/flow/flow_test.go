@@ -117,7 +117,7 @@ func TestHarnessReuseMatchesFresh(t *testing.T) {
 	}{{1, 5}, {4, 6}, {1, 5}, {2, 9}}
 	for _, cell := range cells {
 		reused := h.RunPoint(synth.Uniform(), cell.load, 10, 3, cell.seed)
-		fresh := Run(shape, pol, synth.Uniform(), cell.load, 10, 3, cell.seed, 1)
+		fresh := NewHarness(shape, pol, 1, 0, 0).RunPoint(synth.Uniform(), cell.load, 10, 3, cell.seed)
 		if reused != fresh {
 			t.Fatalf("load %.1f seed %d: reused harness %+v, fresh machine %+v",
 				cell.load, cell.seed, reused, fresh)
@@ -134,10 +134,11 @@ func TestKneeSearch(t *testing.T) {
 	loads := []float64{0.5, 1, 2, 4}
 	// The offered span must cover several queue-fill times for saturation
 	// to register, which sets the per-node packet budget's floor.
-	packets, warmup := 96, 32
-	curves := SweepPattern(shape, []route.Policy{route.XYZ()}, synth.BitComplement(),
-		loads, packets, warmup, 21, 1, 0, 0, nil)
-	c := curves[0]
+	cell := synth.Cell{
+		Shape: shape, Pattern: synth.BitComplement(), Policies: []route.Policy{route.XYZ()},
+		Loads: loads, Packets: 96, Warmup: 32, Seed: 21,
+	}
+	c := Sweep(cell, 1, synth.Opts{}).Curves[0]
 	if c.KneeLB {
 		t.Fatalf("bitcomp/xyz reported knee lower bound %.3f; expected a located knee", c.Knee)
 	}
@@ -158,10 +159,9 @@ func TestKneeSearch(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	again := SweepPattern(shape, []route.Policy{route.XYZ()}, synth.BitComplement(),
-		loads, packets, warmup, 21, 1, 0, 0, nil)
-	if again[0].Knee != c.Knee {
-		t.Fatalf("knee not reproducible: %.6f vs %.6f", again[0].Knee, c.Knee)
+	again := Sweep(cell, 1, synth.Opts{}).Curves[0]
+	if again.Knee != c.Knee {
+		t.Fatalf("knee not reproducible: %.6f vs %.6f", again.Knee, c.Knee)
 	}
 }
 
@@ -169,8 +169,10 @@ func TestKneeSearch(t *testing.T) {
 // knee footer.
 func TestRenderStable(t *testing.T) {
 	shape := topo.Shape{X: 2, Y: 2, Z: 2}
-	r := Sweep(shape, route.SaturatePolicies()[:2], synth.Uniform(),
-		[]float64{0.5, 2}, 6, 2, 3, 1, 0, 0, nil)
+	r := Sweep(synth.Cell{
+		Shape: shape, Pattern: synth.Uniform(), Policies: route.SaturatePolicies()[:2],
+		Loads: []float64{0.5, 2}, Packets: 6, Warmup: 2, Seed: 3,
+	}, 1, synth.Opts{})
 	text := r.Render()
 	for _, want := range []string{"Saturate: pattern uniform", "offered", "random acc", "xyz acc", "saturation knee:"} {
 		if !contains(text, want) {

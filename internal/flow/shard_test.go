@@ -14,8 +14,8 @@ import (
 // sim.Kernel.UnrankedTies): lineage pins every tie only while it is 0.
 func unrankedTies(h *Harness) uint64 {
 	var n uint64
-	for s := 0; s < h.m.NumShards(); s++ {
-		n += h.m.ShardKernel(s).UnrankedTies()
+	for s := 0; s < h.Machine().NumShards(); s++ {
+		n += h.Machine().ShardKernel(s).UnrankedTies()
 	}
 	return n
 }
@@ -77,11 +77,14 @@ func TestSaturateSweepShardInvariance(t *testing.T) {
 	}
 	shape := topo.Shape{X: 2, Y: 2, Z: 4}
 	pols := route.SaturatePolicies()
-	loads := []float64{0.5, 2}
-	ref := Sweep(shape, pols, synth.Tornado(), loads, 16, 4, 99, 1, 0, 0, nil)
+	c := synth.Cell{
+		Shape: shape, Pattern: synth.Tornado(), Policies: pols,
+		Loads: []float64{0.5, 2}, Packets: 16, Warmup: 4, Seed: 99,
+	}
+	ref := Sweep(c, 1, synth.Opts{})
 	refText := ref.Render()
 	for _, shards := range []int{2, 4} {
-		got := Sweep(shape, pols, synth.Tornado(), loads, 16, 4, 99, shards, 0, 0, nil)
+		got := Sweep(c, shards, synth.Opts{})
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("sweep at %d shards differs:\n%s\nvs\n%s", shards, got.Render(), refText)
 		}
@@ -103,7 +106,7 @@ func TestShardedSaturateStress(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		ref := Run(shape, route.Random(), synth.Tornado(), 3, 16, 4, seed, 1)
+		ref := NewHarness(shape, route.Random(), 1, 0, 0).RunPoint(synth.Tornado(), 3, 16, 4, seed)
 		for _, shards := range shardCounts {
 			h := NewHarness(shape, route.Random(), shards, 0, 0)
 			// Two points per harness so reuse and sharding compose.

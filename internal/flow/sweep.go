@@ -7,28 +7,13 @@ import (
 	"strings"
 
 	"anton3/internal/chip"
-	"anton3/internal/resultstore"
+	"anton3/internal/fault"
 	"anton3/internal/route"
 	"anton3/internal/sim"
 	"anton3/internal/synth"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
-	"anton3/internal/trace"
 )
-
-// Opts gates the optional observability layers of a sweep cell; the
-// zero value runs exactly the pre-telemetry pipeline.
-type Opts struct {
-	// Metrics arms per-(policy x pattern) telemetry: counters and
-	// latency/park histograms accumulated across every point (swept
-	// loads and knee probes), surfaced as Curve.Tel plus "telemetry"
-	// render lines and a channel-utilization heatmap at the knee.
-	Metrics bool
-	// Trace, when non-nil, collects packet-lifecycle spans from every
-	// policy's machine into the recorder (tracks are prefixed with the
-	// policy name, so policies never collide).
-	Trace *trace.Recorder
-}
 
 // SatRatio is the saturation detector: a point whose accepted/offered
 // ratio falls below it (or that wedged) counts as saturated. Below
@@ -142,55 +127,58 @@ func findKnee(h *Harness, pat synth.Pattern, pts []Point, packets, warmup int, s
 	return (lo + hi) / 2, false
 }
 
-// SweepPattern measures one pattern across every policy and offered load
-// on the given shape, then locates each policy's saturation knee. All
-// policies at one load share one seed, so they face byte-identical offered
-// traffic (paired comparison); cells of one policy share one machine
-// (reset between loads), which keeps the sweep's steady state
-// allocation-free. Loads must be ascending.
+// Sweep measures the cell's pattern across every policy and offered load
+// with the cell's queue depth and window (0 takes the package defaults),
+// then locates each policy's saturation knee. All policies at one load
+// share one seed, so they face byte-identical offered traffic (paired
+// comparison); points of one policy share one machine (reset between
+// loads), which keeps the sweep's steady state allocation-free. Loads
+// must be ascending.
 //
-// cache, when non-nil, memoizes every point — the swept loads and the
-// knee-search probes — so a re-run of the same cell, or a knee search
+// opts.Cache, when non-nil, memoizes every point — the swept loads and
+// the knee-search probes — so a re-run of the same cell, or a knee search
 // revisiting a load another invocation probed, short-circuits to the
-// recorded Point with bit-identical curves and knees. nil runs
-// everything, exactly as before the store existed.
-func SweepPattern(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store) []Curve {
-	return SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, queueFlits, injDepth, cache, Opts{})
-}
-
-// SweepPatternOpts is SweepPattern with the observability layer gates.
-func SweepPatternOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store, opts Opts) []Curve {
-	curves := make([]Curve, len(policies))
-	for pi, pol := range policies {
-		c := Curve{Policy: pol.Name()}
-		h := NewHarness(shape, pol, shards, queueFlits, injDepth)
-		h.Cache = cache
-		if opts.Metrics {
-			h.EnableMetrics()
-		}
-		if opts.Trace != nil {
-			h.AttachTrace(pol.Name())
-		}
-		for li, load := range loads {
-			c.Points = append(c.Points, h.RunPoint(
-				pat, load, packets, warmup, seed+uint64(li)*9176,
-			))
-		}
-		c.Knee, c.KneeLB = findKnee(h, pat, c.Points, packets, warmup, seed)
+// recorded Point with bit-identical curves and knees.
+func Sweep(c synth.Cell, shards int, opts synth.Opts) Result {
+	res := Result{header: newHeader(c), Curves: make([]Curve, len(c.Policies))}
+	for pi, pol := range c.Policies {
+		h := cellHarness(c, pol, shards, opts, nil, pol.Name())
+		cv := Curve{Policy: pol.Name()}
+		cv.Points = h.sweepLoads(c)
+		cv.Knee, cv.KneeLB = findKnee(h, c.Pattern, cv.Points, c.Packets, c.Warmup, c.Seed)
 		if opts.Metrics {
 			// Snapshot the curve digest before the heatmap probe runs
 			// (the probe's telemetry belongs to the heatmap, not the
 			// curve totals).
 			sum := h.Telemetry().Summary()
-			c.Tel = &sum
-			c.Heat = kneeHeat(h, pat, c.Knee, packets, warmup, seed)
+			cv.Tel = &sum
+			cv.Heat = kneeHeat(h, c.Pattern, cv.Knee, c.Packets, c.Warmup, c.Seed)
 		}
 		if opts.Trace != nil {
 			h.DrainTrace(opts.Trace)
 		}
-		curves[pi] = c
+		res.Curves[pi] = cv
 	}
-	return curves
+	return res
+}
+
+// cellHarness builds the harness one policy of a cell runs on, with the
+// cell's depths, the fault plan (nil = healthy), opts' cache and layers
+// armed, and trace tracks under the given prefix.
+func cellHarness(c synth.Cell, pol route.Policy, shards int, opts synth.Opts, plan *fault.Plan, track string) *Harness {
+	h := newHarness(c.Shape, pol, shards, c.QueueFlits, c.InjDepth, plan)
+	h.Cache = opts.Cache
+	h.Observe(opts, track)
+	return h
+}
+
+// sweepLoads runs the cell's swept loads, each with its position seed.
+func (h *Harness) sweepLoads(c synth.Cell) []Point {
+	var pts []Point
+	for li, load := range c.Loads {
+		pts = append(pts, h.RunPoint(c.Pattern, load, c.Packets, c.Warmup, c.Seed+uint64(li)*9176))
+	}
+	return pts
 }
 
 // heatTopK bounds the hottest-links digest.
@@ -206,13 +194,13 @@ func kneeHeat(h *Harness, pat synth.Pattern, knee float64, packets, warmup int, 
 	if knee <= 0 {
 		return nil
 	}
-	h.runPoint(pat, knee, packets, warmup, probeSeed(seed, knee))
-	end := h.lastEnd
+	_, o := h.runPoint(pat, knee, packets, warmup, probeSeed(seed, knee))
+	end := o.DrainEnd
 	if end <= 0 {
 		return nil
 	}
 	var heats []ChannelHeat
-	h.m.ChannelBusy(func(node topo.Coord, spec chip.ChannelSpec, busy sim.Time) {
+	h.Machine().ChannelBusy(func(node topo.Coord, spec chip.ChannelSpec, busy sim.Time) {
 		if busy > 0 {
 			heats = append(heats, ChannelHeat{
 				Node: node.String(),
@@ -228,36 +216,31 @@ func kneeHeat(h *Harness, pat synth.Pattern, knee float64, packets, warmup int, 
 	return heats
 }
 
+// header is the table header shared by the saturate and faultsweep
+// results: the cell's shape and pattern and its resolved depths.
+type header struct {
+	Shape      string `json:"shape"`
+	Nodes      int    `json:"nodes"`
+	Pattern    string `json:"pattern"`
+	QueueFlits int    `json:"queue_flits"`
+	InjDepth   int    `json:"inj_depth"`
+}
+
 // Result is one pattern x shape table of the saturate experiment.
 type Result struct {
-	Shape      string  `json:"shape"`
-	Nodes      int     `json:"nodes"`
-	Pattern    string  `json:"pattern"`
-	QueueFlits int     `json:"queue_flits"`
-	InjDepth   int     `json:"inj_depth"`
-	Curves     []Curve `json:"curves"`
+	header
+	Curves []Curve `json:"curves"`
 }
 
-// Sweep runs SweepPattern and packages the result for reports.
-func Sweep(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store) Result {
-	return SweepOpts(shape, policies, pat, loads, packets, warmup, seed, shards, queueFlits, injDepth, cache, Opts{})
-}
-
-// SweepOpts is Sweep with the observability layer gates.
-func SweepOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store, opts Opts) Result {
-	if queueFlits <= 0 {
-		queueFlits = DefaultQueueFlits
-	}
-	if injDepth <= 0 {
-		injDepth = DefaultInjDepth
-	}
-	return Result{
-		Shape:      shape.String(),
-		Nodes:      shape.Nodes(),
-		Pattern:    pat.Name,
-		QueueFlits: queueFlits,
-		InjDepth:   injDepth,
-		Curves:     SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, queueFlits, injDepth, cache, opts),
+// newHeader resolves the cell's depths into the table header.
+func newHeader(c synth.Cell) header {
+	qf, injd := Depths(c.QueueFlits, c.InjDepth)
+	return header{
+		Shape:      c.Shape.String(),
+		Nodes:      c.Shape.Nodes(),
+		Pattern:    c.Pattern.Name,
+		QueueFlits: qf,
+		InjDepth:   injd,
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // telemetryPoint runs one metrics-armed closed-loop point and returns the
 // merged telemetry block.
 func telemetryPoint(shape topo.Shape, pol route.Policy, shards int, plan *fault.Plan) telemetry.Shard {
-	h := NewFaultHarness(shape, pol, shards, 0, 0, plan)
+	h := newHarness(shape, pol, shards, 0, 0, plan)
 	h.EnableMetrics()
 	h.RunPoint(synth.Tornado(), 3, 12, 4, 77)
 	return *h.Telemetry()
@@ -60,13 +60,15 @@ func TestTelemetryShardInvariance(t *testing.T) {
 // "telemetry" lines included.
 func TestTelemetrySweepShardInvariance(t *testing.T) {
 	shape := topo.Shape{X: 2, Y: 2, Z: 4}
-	loads := []float64{0.5, 2}
-	pols := []route.Policy{route.Random(), route.CreditEcho()}
-	opts := Opts{Metrics: true}
-	ref := SweepOpts(shape, pols, synth.Tornado(), loads, 8, 2, 42, 1, 0, 0, nil, opts)
+	c := synth.Cell{
+		Shape: shape, Pattern: synth.Tornado(), Policies: []route.Policy{route.Random(), route.CreditEcho()},
+		Loads: []float64{0.5, 2}, Packets: 8, Warmup: 2, Seed: 42,
+	}
+	opts := synth.Opts{Metrics: true}
+	ref := Sweep(c, 1, opts)
 	refText := ref.Render()
 	for _, shards := range []int{2, 4} {
-		got := SweepOpts(shape, pols, synth.Tornado(), loads, 8, 2, 42, shards, 0, 0, nil, opts)
+		got := Sweep(c, shards, opts)
 		if got.Render() != refText {
 			t.Fatalf("metrics render at %d shards not byte-identical:\n%s\nvs\n%s",
 				shards, got.Render(), refText)

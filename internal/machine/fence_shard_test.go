@@ -10,7 +10,7 @@ import (
 )
 
 // fenceMixInj injects one pre-routed Position packet when its setup event
-// fires (closure-free, like the synth harness's injectors).
+// fires (closure-free, like the sweep engine's sources).
 type fenceMixInj struct {
 	m    *Machine
 	p    *packet.Packet

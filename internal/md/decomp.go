@@ -22,14 +22,36 @@ type Decomposition struct {
 // than the cutoff, which would require beyond-neighbor import regions the
 // MD protocol does not use.
 func NewDecomposition(shape topo.Shape, box float64) *Decomposition {
+	if !fitsCutoff(shape, box) {
+		panic("md: home box thinner than cutoff; reduce node count or grow the system")
+	}
 	d := &Decomposition{Shape: shape, Box: box}
 	for i, n := range []int{shape.X, shape.Y, shape.Z} {
 		d.w[i] = box / float64(n)
-		if n > 1 && d.w[i] < Cutoff {
-			panic("md: home box thinner than cutoff; reduce node count or grow the system")
-		}
 	}
 	return d
+}
+
+// fitsCutoff reports whether every slab of a box split across shape is at
+// least the cutoff wide (undivided dimensions always fit).
+func fitsCutoff(shape topo.Shape, box float64) bool {
+	for _, n := range []int{shape.X, shape.Y, shape.Z} {
+		if n > 1 && box/float64(n) < Cutoff {
+			return false
+		}
+	}
+	return true
+}
+
+// MinAtoms is the smallest water system NewWater builds whose
+// decomposition across shape is valid (no home box thinner than the
+// cutoff).
+func MinAtoms(shape topo.Shape) int {
+	n := MinParticles
+	for !fitsCutoff(shape, BoxForAtoms(n)) {
+		n++
+	}
+	return n
 }
 
 // HomeNode returns the node owning position p.

@@ -431,3 +431,23 @@ func BenchmarkStep4k(b *testing.B) {
 		s.Step()
 	}
 }
+
+// TestMinAtomsBoundary pins MinAtoms at the exact size where the
+// decomposition becomes valid: the system it names decomposes, one atom
+// fewer panics, and an undivided machine needs only NewWater's minimum.
+func TestMinAtomsBoundary(t *testing.T) {
+	shape := topo.Shape{X: 2, Y: 2, Z: 2}
+	n := MinAtoms(shape)
+	NewDecomposition(shape, BoxForAtoms(n))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%d atoms on %v decomposed; MinAtoms(%v) = %d is not the minimum", n-1, shape, shape, n)
+			}
+		}()
+		NewDecomposition(shape, BoxForAtoms(n-1))
+	}()
+	if got := MinAtoms(topo.Shape{X: 1, Y: 1, Z: 1}); got != MinParticles {
+		t.Fatalf("MinAtoms(1x1x1) = %d, want %d", got, MinParticles)
+	}
+}

@@ -68,11 +68,14 @@ func BoxForAtoms(n int) float64 {
 	return math.Cbrt(float64(n) / Density)
 }
 
+// MinParticles is the smallest system NewWater builds.
+const MinParticles = 8
+
 // NewWater builds a thermalized water-like system of n particles at
 // temperature tempK, with positions on a jittered lattice (no overlaps) and
 // Maxwell-Boltzmann velocities with zero net momentum.
 func NewWater(n int, tempK float64, rng *sim.Rand) *System {
-	if n < 8 {
+	if n < MinParticles {
 		panic("md: need at least 8 particles")
 	}
 	s := &System{

@@ -2,48 +2,12 @@ package synth
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"anton3/internal/machine"
-	"anton3/internal/packet"
 	"anton3/internal/route"
-	"anton3/internal/serdes"
-	"anton3/internal/sim"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
-	"anton3/internal/trace"
 )
-
-// RefPacketBits is the wire size of the standard 24-byte counted-write
-// packet (two 96-bit flits), the unit the offered-load normalization is
-// expressed in.
-const RefPacketBits = 192
-
-// RunConfig parameterizes one timed network-only measurement: one shape,
-// one policy, one pattern, one offered load.
-type RunConfig struct {
-	Shape   topo.Shape
-	Policy  route.Policy
-	Pattern Pattern
-	// Load is the offered injection rate per node, normalized to one
-	// channel slice's reference-packet rate: at Load 1.0 every node
-	// injects, on average, one 192-bit packet per channel-slice
-	// serialization interval. Uniform traffic on the 128-node machine
-	// saturates around 3 in these units (12 outbound slices per node /
-	// ~4 average hops).
-	Load float64
-	// Packets is the measured packet count per node; Warmup packets
-	// precede them, excluded from the statistics.
-	Packets int
-	Warmup  int
-	Seed    uint64
-	// Shards runs the machine sharded across that many kernels (see
-	// machine.Config.Shards); 0 or 1 is the classic sequential run. The
-	// harness pre-routes every packet and runs shard kernels in lineage
-	// order, so output is byte-identical at every shard count.
-	Shards int
-}
 
 // Point is the measured outcome at one offered load.
 type Point struct {
@@ -59,219 +23,36 @@ type Point struct {
 	TailNs float64 `json:"tail_ns"`
 }
 
-// Harness runs timed network-only measurements on one long-lived machine:
-// one (shape, policy, shard count) triple serves any number of
-// (pattern, load, seed) points via RunPoint. Reusing the machine is what
-// makes a sweep allocation-free in steady state — the kernel event pools,
-// packet free lists, injection schedule and latency buffers all persist
-// across load points — and a reset machine is byte-identical to a fresh
-// one, so reuse never changes a digit of output.
+// Harness is the netsweep rig: the point engine, projected onto Point.
+// NewHarness builds it in open loop (VC queues off, unbounded injection
+// window), the mode netsweep runs.
 type Harness struct {
-	m     *machine.Machine
-	shape topo.Shape
-	core  packet.CoreID // GC 0, the endpoint every packet uses
-	base  sim.Time      // serialization time of RefPacketBits (load unit)
-
-	total  int // packets per node including warmup, for the current point
-	warmup int
-
-	// sched is the pre-drawn offered process — intended injection instants,
-	// destinations, and the machine's pre-drawn routing decisions — for the
-	// current point, flat-indexed by node*total+k (see Schedule.Draw).
-	sched Schedule
-	injs  []injector
-
-	// Per-shard measurement state: deliveries happen on the destination
-	// node's shard, so each shard appends to its own buffers and the
-	// point statistics reduce them afterwards.
-	sinks []sink
-	lats  [][]float64
-	hops  []int64
-	all   []float64 // merged latencies, reused across points
-
-	// telAgg accumulates telemetry across every point run since the
-	// harness was built (zero unless EnableMetrics armed the machine).
-	telAgg telemetry.Shard
+	*Engine
 }
 
-// NewHarness builds the measurement machine: compression off (network-only
-// timing), the given routing policy, sharded across the given kernel
-// count (0 or 1 = sequential).
+// NewHarness builds the open-loop measurement machine for one (shape,
+// policy, shard count) triple (shards 0 or 1 = sequential).
 func NewHarness(shape topo.Shape, policy route.Policy, shards int) *Harness {
-	mcfg := machine.DefaultConfig(shape)
-	mcfg.Compress = serdes.CompressConfig{} // raw wire timing
-	mcfg.Policy = policy
-	mcfg.Shards = shards
-	m := machine.New(mcfg)
-	refCh := m.Node(shape.CoordOf(0)).ChannelSpecs()[0]
-	h := &Harness{
-		m:     m,
-		shape: shape,
-		core:  m.GC(shape.CoordOf(0), 0).ID,
-		base:  m.Node(shape.CoordOf(0)).Channel(refCh).SerializeTime(RefPacketBits),
-	}
-	P := m.NumShards()
-	h.sinks = make([]sink, P)
-	h.lats = make([][]float64, P)
-	h.hops = make([]int64, P)
-	for s := range h.sinks {
-		h.sinks[s] = sink{h: h, shard: int32(s)}
-	}
-	return h
-}
-
-// EnableMetrics arms the telemetry collector on the harness machine
-// (internal/telemetry): sharded counters and latency/park histograms,
-// accumulated into Telemetry() across every subsequent RunPoint.
-func (h *Harness) EnableMetrics() { h.m.EnableTelemetry() }
-
-// AttachTrace arms packet-lifecycle tracing with the given track prefix;
-// intervals accumulate until DrainTrace.
-func (h *Harness) AttachTrace(prefix string) { h.m.AttachPacketTrace(prefix) }
-
-// DrainTrace moves every recorded trace interval into dst.
-func (h *Harness) DrainTrace(dst *trace.Recorder) { h.m.DrainPacketTrace(dst) }
-
-// Telemetry returns the telemetry accumulated across every RunPoint since
-// the harness was built (all zeros unless EnableMetrics was called).
-func (h *Harness) Telemetry() *telemetry.Shard { return &h.telAgg }
-
-// injector fires one scheduled injection: a setup-scheduled sim.Actor, so
-// the steady-state schedule carries no closures and the injection events
-// keep the setup sequence order the sequential kernel has always used.
-type injector struct {
-	h    *Harness
-	flat int32
-}
-
-// Act builds the pre-routed packet for this injection slot and sends it.
-func (ij *injector) Act() {
-	h := ij.h
-	flat := int(ij.flat)
-	src := h.shape.CoordOf(flat / h.total)
-	dst := h.shape.CoordOf(int(h.sched.Dsts[flat]))
-	p := h.m.NewPacketAt(src)
-	atom := uint32(flat)
-	p.Type = packet.Position
-	p.SrcNode, p.DstNode = src, dst
-	p.SrcCore, p.DstCore = h.core, h.core
-	p.AtomID = atom
-	p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
-	p.PreRouted = true
-	p.Order = h.sched.Orders[flat]
-	// Position packets break the even-ring direction tie by atom ID; the
-	// machine's tie draw was still consumed by DrawRoute, exactly as Send
-	// consumes it before overriding.
-	p.Tie = atom&2 != 0
-	p.Inj = uint64(flat)
-	h.m.Send(p, &h.sinks[h.m.ShardOf(dst)])
-}
-
-// sink records deliveries landing on one shard (packet.Deliverer).
-type sink struct {
-	h     *Harness
-	shard int32
-}
-
-// Deliver records one delivered packet.
-func (s *sink) Deliver(p *packet.Packet) {
-	h := s.h
-	if int(p.AtomID)%h.total < h.warmup {
-		return
-	}
-	h.lats[s.shard] = append(h.lats[s.shard], (h.m.NodeKernel(p.DstNode).Now() - p.Injected).Nanoseconds())
-	h.hops[s.shard] += int64(h.shape.HopDist(p.SrcNode, p.DstNode))
+	return &Harness{NewEngine(shape, policy, shards, 0, 0, nil)}
 }
 
 // RunPoint injects Pattern traffic at one offered load and returns the
-// latency statistics of the measured window. The machine is reset to the
-// given seed, runs with the kernel draining completely (queueing delay
-// past saturation is fully charged to the packets that incurred it), and
-// every random choice derives from seed alone — so results are byte-stable
-// across hosts, worker counts, machine reuse, and shard counts.
-//
-// Routing randomness is pre-drawn at setup: injection events fire in
-// (time, schedule-sequence) order, schedule sequence is node-major, so a
-// stable sort of the schedule by time reproduces the exact order in which
-// a sequential run's Sends would have consumed the machine rng. Each
-// packet then carries its decisions (packet.PreRouted), which is what
-// detaches the rng stream — and with lineage ordering, all of the output —
-// from shard execution order.
+// latency statistics of the measured window. The machine drains
+// completely, so queueing delay past saturation is fully charged to the
+// packets that incurred it; see Engine.Run for the determinism
+// guarantees.
 func (h *Harness) RunPoint(pat Pattern, load float64, packets, warmup int, seed uint64) Point {
-	if load <= 0 || packets <= 0 {
-		panic("synth: load and packet count must be positive")
-	}
-	h.m.Reset(seed)
-	h.total = warmup + packets
-	h.warmup = warmup
-	nodes := h.shape.Nodes()
-	total := h.total
-	flatN := nodes * total
-	if cap(h.injs) < flatN {
-		h.injs = make([]injector, flatN)
-	}
-	h.injs = h.injs[:flatN]
-	for s := range h.lats {
-		h.lats[s] = h.lats[s][:0]
-		h.hops[s] = 0
-	}
-
-	// Draw the offered process — Poisson schedule, destinations, and the
-	// machine's routing pre-draw in sequential injection-firing order.
-	injectEnd := h.sched.Draw(h.m, h.shape, pat, float64(h.base)/load, total, seed)
-
-	// Schedule the injections in node-major (setup sequence) order, each
-	// on the kernel of the shard owning its source node. The thousands of
-	// future injection slots wait in the kernel's far heap and enter its
-	// bucket ring as the window reaches them, so they never deepen the hot
-	// loop's queue.
-	for i := 0; i < nodes; i++ {
-		kern := h.m.NodeKernel(h.shape.CoordOf(i))
-		for k := 0; k < total; k++ {
-			flat := i*total + k
-			h.injs[flat] = injector{h: h, flat: int32(flat)}
-			kern.AtActor(h.sched.Times[flat], &h.injs[flat])
-		}
-	}
-
-	h.m.BeginLineageRun()
-	drainEnd := h.m.Run()
-
-	if c := h.m.Telemetry(); c != nil {
-		h.m.CollectChannelBusy()
-		h.telAgg.Merge(c.Merged())
-	}
-
-	h.all = h.all[:0]
-	var hopSum int64
-	for s := range h.lats {
-		h.all = append(h.all, h.lats[s]...)
-		hopSum += h.hops[s]
-	}
-	if len(h.all) != nodes*packets {
-		panic(fmt.Sprintf("synth: delivered %d of %d measured packets", len(h.all), nodes*packets))
-	}
-	lats := h.all
-	sort.Float64s(lats)
-	var sum float64
-	for _, l := range lats {
-		sum += l
+	o := h.Run(pat, load, packets, warmup, seed)
+	if o.Measured != o.Nodes*packets {
+		panic(fmt.Sprintf("synth: delivered %d of %d measured packets", o.Measured, o.Nodes*packets))
 	}
 	return Point{
 		Load:    load,
-		AvgNs:   sum / float64(len(lats)),
-		P99Ns:   lats[len(lats)*99/100],
-		AvgHops: float64(hopSum) / float64(len(lats)),
-		TailNs:  (drainEnd - injectEnd).Nanoseconds(),
+		AvgNs:   o.AvgNs,
+		P99Ns:   o.P99Ns,
+		AvgHops: float64(o.HopSum) / float64(o.Measured),
+		TailNs:  (o.DrainEnd - o.OfferEnd).Nanoseconds(),
 	}
-}
-
-// Run injects Pattern traffic at the configured load on a private machine
-// and returns the latency statistics of the measured window (one-shot
-// form of a Harness point; sweeps reuse a Harness instead).
-func Run(cfg RunConfig) Point {
-	h := NewHarness(cfg.Shape, cfg.Policy, cfg.Shards)
-	return h.RunPoint(cfg.Pattern, cfg.Load, cfg.Packets, cfg.Warmup, cfg.Seed)
 }
 
 // Curve is one policy's load/latency curve under one pattern.
@@ -283,55 +64,6 @@ type Curve struct {
 	Tel *telemetry.Summary `json:"telemetry,omitempty"`
 }
 
-// Opts gates the observability layer onto a sweep: Metrics arms the
-// sharded telemetry collector (curves gain a Tel summary), Trace drains
-// packet-lifecycle tracks — prefixed with the policy name — into the
-// given recorder. Both default off, leaving output byte-identical.
-type Opts struct {
-	Metrics bool
-	Trace   *trace.Recorder
-}
-
-// SweepPattern measures one pattern across every policy and offered load
-// on the given shape, sharding each machine across the given kernel count.
-// Each (policy, load) cell runs with a seed derived from cell position
-// only, so the sweep decomposes freely across runner workers without
-// changing a digit; cells of one policy share one machine (reset between
-// loads), which keeps the sweep's steady state allocation-free.
-func SweepPattern(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int) []Curve {
-	return SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, Opts{})
-}
-
-// SweepPatternOpts is SweepPattern with the observability layer gates.
-func SweepPatternOpts(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int, opts Opts) []Curve {
-	curves := make([]Curve, len(policies))
-	for pi, pol := range policies {
-		c := Curve{Policy: pol.Name()}
-		h := NewHarness(shape, pol, shards)
-		if opts.Metrics {
-			h.EnableMetrics()
-		}
-		if opts.Trace != nil {
-			h.AttachTrace(pol.Name())
-		}
-		for li, load := range loads {
-			c.Points = append(c.Points, h.RunPoint(
-				pat, load, packets, warmup,
-				seed+uint64(pi)*1009+uint64(li)*9176,
-			))
-		}
-		if opts.Metrics {
-			sum := h.Telemetry().Summary()
-			c.Tel = &sum
-		}
-		if opts.Trace != nil {
-			h.DrainTrace(opts.Trace)
-		}
-		curves[pi] = c
-	}
-	return curves
-}
-
 // SweepResult is one pattern x shape table of the netsweep experiment.
 type SweepResult struct {
 	Shape   string  `json:"shape"`
@@ -340,19 +72,40 @@ type SweepResult struct {
 	Curves  []Curve `json:"curves"`
 }
 
-// Sweep runs SweepPattern and packages the result for reports.
-func Sweep(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int) SweepResult {
-	return SweepOpts(shape, policies, pat, loads, packets, warmup, seed, shards, Opts{})
-}
-
-// SweepOpts is Sweep with the observability layer gates.
-func SweepOpts(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int, opts Opts) SweepResult {
-	return SweepResult{
-		Shape:   shape.String(),
-		Nodes:   shape.Nodes(),
-		Pattern: pat.Name,
-		Curves:  SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, opts),
+// Sweep measures the cell's pattern across every policy and offered load
+// with the cell's queue depth and window (0 and 0: open loop), sharding
+// each machine across the given kernel count. Each (policy, load) point
+// runs with a seed derived from the cell seed and its position only, so
+// the sweep decomposes freely across runner workers without changing a
+// digit; points of one policy share one machine (reset between loads),
+// which keeps the sweep's steady state allocation-free.
+func Sweep(c Cell, shards int, opts Opts) SweepResult {
+	res := SweepResult{
+		Shape:   c.Shape.String(),
+		Nodes:   c.Shape.Nodes(),
+		Pattern: c.Pattern.Name,
+		Curves:  make([]Curve, len(c.Policies)),
 	}
+	for pi, pol := range c.Policies {
+		cv := Curve{Policy: pol.Name()}
+		h := &Harness{NewEngine(c.Shape, pol, shards, c.QueueFlits, c.InjDepth, nil)}
+		h.Observe(opts, pol.Name())
+		for li, load := range c.Loads {
+			cv.Points = append(cv.Points, h.RunPoint(
+				c.Pattern, load, c.Packets, c.Warmup,
+				c.Seed+uint64(pi)*1009+uint64(li)*9176,
+			))
+		}
+		if opts.Metrics {
+			sum := h.Telemetry().Summary()
+			cv.Tel = &sum
+		}
+		if opts.Trace != nil {
+			h.DrainTrace(opts.Trace)
+		}
+		res.Curves[pi] = cv
+	}
+	return res
 }
 
 // Render formats the table: one row per offered load, an avg/p99 column

@@ -10,20 +10,17 @@ import (
 	"anton3/internal/topo"
 )
 
-// Schedule is the pre-drawn offered process of one measurement point: for
+// schedule is the pre-drawn offered process of one measurement point: for
 // every injection slot (flat-indexed node-major, node*total+k) the intended
 // injection instant, the destination, and the machine's pre-drawn routing
-// decision. Both network harnesses — the open-loop netsweep rig and the
-// closed-loop saturation rig — draw their traffic through one Schedule, so
-// a given (pattern, load, seed) cell offers byte-identical packets to both,
-// and the pre-draw keeps every random choice a function of the seed alone
-// (packet.PreRouted): results cannot depend on worker counts, machine
-// reuse, or the shard count.
-type Schedule struct {
-	Total  int // packets per node, warmup included
-	Times  []sim.Time
-	Dsts   []int32
-	Orders []topo.DimOrder
+// decision. A given (pattern, load, seed) point offers byte-identical
+// packets in open and closed loop, and the pre-draw keeps every random
+// choice a function of the seed alone (packet.PreRouted): results cannot
+// depend on worker counts, machine reuse, or the shard count.
+type schedule struct {
+	times  []sim.Time
+	dsts   []int32
+	orders []topo.DimOrder
 	keys   []uint64
 	prng   sim.Rand
 }
@@ -36,7 +33,7 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Draw fills the schedule for one point — total packets per node offered
+// draw fills the schedule for one point — total packets per node offered
 // at mean inter-arrival meanGap (picoseconds, Poisson) under pattern pat —
 // and consumes m's routing pre-draw for every inter-node packet. It
 // returns the last intended injection instant across all nodes (the
@@ -49,13 +46,12 @@ func grow[T any](s []T, n int) []T {
 // machine rng stream, and therefore every route, is byte-identical to a
 // run that drew at Send time. Same-node packets never reach Send's draw
 // (the on-chip shortcut returns first), so they are skipped here too.
-func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanGap float64, total int, seed uint64) sim.Time {
+func (s *schedule) draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanGap float64, total int, seed uint64) sim.Time {
 	nodes := shape.Nodes()
 	flatN := nodes * total
-	s.Total = total
-	s.Times = grow(s.Times, flatN)
-	s.Dsts = grow(s.Dsts, flatN)
-	s.Orders = grow(s.Orders, flatN)
+	s.times = grow(s.times, flatN)
+	s.dsts = grow(s.dsts, flatN)
+	s.orders = grow(s.orders, flatN)
 	s.keys = grow(s.keys, flatN)
 
 	rng := &s.prng
@@ -71,8 +67,8 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 			}
 			t += gap
 			flat := i*total + k
-			s.Times[flat] = t
-			s.Dsts[flat] = int32(shape.Index(pat.Dest(shape, src, rng)))
+			s.times[flat] = t
+			s.dsts[flat] = int32(shape.Index(pat.Dest(shape, src, rng)))
 		}
 		if t > end {
 			end = t
@@ -84,7 +80,7 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 	// (at, seq) order for setup-scheduled injection events.
 	shift := uint(bits.Len(uint(flatN - 1)))
 	for flat := range s.keys {
-		t := uint64(s.Times[flat])
+		t := uint64(s.times[flat])
 		if t >= 1<<(63-shift) {
 			panic("synth: injection time overflows the sort key")
 		}
@@ -94,13 +90,13 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 	mask := uint64(1)<<shift - 1
 	for _, key := range s.keys {
 		flat := key & mask
-		if int(s.Dsts[flat]) == int(flat)/total {
+		if int(s.dsts[flat]) == int(flat)/total {
 			continue
 		}
 		// The tie draw is discarded — Position packets derive theirs from
 		// the atom ID — but DrawRoute still consumed it from the stream,
 		// exactly as Send would have.
-		s.Orders[flat], _ = m.DrawRoute()
+		s.orders[flat], _ = m.DrawRoute()
 	}
 	return end
 }

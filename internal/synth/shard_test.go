@@ -27,10 +27,14 @@ func TestNetsweepShardCountInvariance(t *testing.T) {
 		loads = loads[1:]
 	}
 	for _, pat := range pats {
-		ref := Sweep(shape, pols, pat, loads, packets, warmup, 77, 1)
+		c := Cell{
+			Shape: shape, Pattern: pat, Policies: pols,
+			Loads: loads, Packets: packets, Warmup: warmup, Seed: 77,
+		}
+		ref := Sweep(c, 1, Opts{})
 		refText := ref.Render()
 		for _, shards := range []int{2, 4} {
-			got := Sweep(shape, pols, pat, loads, packets, warmup, 77, shards)
+			got := Sweep(c, shards, Opts{})
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("pattern %s: sweep at %d shards differs from 1 shard:\n%s\nvs\n%s",
 					pat.Name, shards, got.Render(), refText)
@@ -55,10 +59,7 @@ func TestHarnessReuseMatchesFresh(t *testing.T) {
 	}{{1, 5}, {4, 6}, {1, 5}, {2, 9}}
 	for _, cell := range cells {
 		reused := h.RunPoint(Uniform(), cell.load, 10, 3, cell.seed)
-		fresh := Run(RunConfig{
-			Shape: shape, Policy: pol, Pattern: Uniform(),
-			Load: cell.load, Packets: 10, Warmup: 3, Seed: cell.seed,
-		})
+		fresh := NewHarness(shape, pol, 1).RunPoint(Uniform(), cell.load, 10, 3, cell.seed)
 		if reused != fresh {
 			t.Fatalf("load %.1f seed %d: reused harness %+v, fresh machine %+v",
 				cell.load, cell.seed, reused, fresh)
@@ -82,10 +83,7 @@ func TestShardedNetsweepStress(t *testing.T) {
 	}
 	pol := route.Random()
 	for _, seed := range seeds {
-		ref := Run(RunConfig{
-			Shape: shape, Policy: pol, Pattern: Tornado(),
-			Load: 3, Packets: 16, Warmup: 4, Seed: seed,
-		})
+		ref := NewHarness(shape, pol, 1).RunPoint(Tornado(), 3, 16, 4, seed)
 		for _, shards := range shardCounts {
 			h := NewHarness(shape, pol, shards)
 			// Two points per harness so reuse and sharding compose.
