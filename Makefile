@@ -29,7 +29,9 @@ test-short:
 # -metrics output minus its 'telemetry' lines to equal the plain run, the
 # full metrics output to be byte-identical at -shards 2, and
 # -trace-events to emit a Chrome trace-event document with at least one
-# slice and its track metadata.
+# slice and its track metadata. The quickstart and fencepipeline examples
+# run last, so the library calls they demonstrate are executed, not only
+# compiled.
 SMOKE_GRID = -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q
 ANTON3 = $(GO) run ./cmd/anton3
 
@@ -61,6 +63,8 @@ smoke:
 	diff /tmp/anton3-sat-met.txt /tmp/anton3-sat-met2.txt
 	$(ANTON3) saturate $(SMOKE_GRID) -trace-events /tmp/anton3-trace.json > /dev/null
 	python3 -c "import json; ev=json.load(open('/tmp/anton3-trace.json'))['traceEvents']; assert any(e['ph']=='X' for e in ev), 'no slices'; assert any(e['ph']=='M' for e in ev), 'no track metadata'; print('trace smoke:', len(ev), 'events')"
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/fencepipeline
 
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
 # warm kernel schedule/pop path, the steady-state machine.Send (request and

@@ -188,19 +188,32 @@ func run() int {
 		return 2
 	}
 	// Bad sizes die here with a readable message, not as a panic deep in
-	// a harness or the MD system builder.
-	cell := synth.Cell{Loads: p.Loads, Packets: p.Packets, Warmup: p.Warmup, QueueFlits: p.QueueFlits, InjDepth: p.InjDepth}
-	if verr := cell.Validate(); verr != nil {
-		fmt.Fprintln(os.Stderr, "anton3: bad -npkts/-nwarm/-vcq/-injq:", verr)
-		return 2
+	// a harness or the MD system builder, or as NaN rows.
+	for _, shape := range p.Shapes {
+		cell := synth.Cell{Shape: shape, Loads: p.Loads, Packets: p.Packets, Warmup: p.Warmup, QueueFlits: p.QueueFlits, InjDepth: p.InjDepth}
+		if verr := cell.Validate(); verr != nil {
+			fmt.Fprintln(os.Stderr, "anton3: bad -shapes/-npkts/-nwarm/-vcq/-injq:", verr)
+			return 2
+		}
 	}
+	// fig12 and mdsweep run on the 8-node machine.
+	minAtoms := md.MinAtoms(experiments.Shape8)
+	const span = ", the smallest system whose home boxes span the cutoff on 2x2x2"
 	for _, a := range []struct {
-		flag string
-		n    int
-	}{{"-atoms", p.Fig12Atoms}, {"-mdatoms", p.MDAtoms}} {
-		// fig12 and mdsweep run on the 8-node machine.
-		if low := md.MinAtoms(experiments.Shape8); a.n < low {
-			fmt.Fprintf(os.Stderr, "anton3: %s must be >= %d, the smallest system whose home boxes span the cutoff on 2x2x2 (got %d)\n", a.flag, low, a.n)
+		flag   string
+		n, min int
+		why    string
+	}{
+		{"-pairs", p.Fig5Pairs, 1, ""},
+		{"-steps", *steps, 1, ""},
+		{"-mdsteps", p.MDSteps, 1, ""},
+		{"-measure", p.Fig9aMeasure, 1, ""},
+		{"-warm", p.Fig9aWarm, 0, ""},
+		{"-atoms", p.Fig12Atoms, minAtoms, span},
+		{"-mdatoms", p.MDAtoms, minAtoms, span},
+	} {
+		if a.n < a.min {
+			fmt.Fprintf(os.Stderr, "anton3: %s must be >= %d%s (got %d)\n", a.flag, a.min, a.why, a.n)
 			return 2
 		}
 	}
@@ -230,16 +243,12 @@ func run() int {
 
 	// Stream each result as soon as it and its predecessors finish:
 	// long runs show figures incrementally, in the same byte-identical
-	// order a sequential run would print them. Hidden results are the
-	// sharded sub-jobs a reducer folds into one figure; their rows only
-	// appear in the JSON report.
+	// order a sequential run would print them.
 	// Auto-sharding only composes with the worker budget when cells are
 	// not already explicitly sharded via -shards.
 	opts := runner.Options{AutoShard: *autoshard && *shards <= 1, Cache: store}
-	rep, err := runner.RunEmitOpts(selected, *jobs, opts, func(res runner.Result) {
-		if !res.Hidden {
-			fmt.Println(res.Text)
-		}
+	rep, err := runner.Run(selected, *jobs, opts, func(res runner.Result) {
+		fmt.Println(res.Text)
 	})
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "runner: %d jobs on %d workers in %.2fs wall, %.2fs CPU (speedup %.2fx)\n",

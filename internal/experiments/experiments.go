@@ -44,15 +44,30 @@ type Fig5Result struct {
 }
 
 // Fig5 measures average one-way end-to-end latency versus inter-node hops
-// on the 128-node machine with pairsPerHop sampled GC pairs per distance.
-// rng picks the sampled pairs; the paper runs use sim.NewRand(Fig5Seed).
+// on the 128-node machine with pairsPerHop sampled GC pairs per distance,
+// each pair ping-ponging on a private machine. rng picks the sampled
+// pairs; the paper runs use sim.NewRand(Fig5Seed).
 func Fig5(rng *sim.Rand, pairsPerHop int) Fig5Result {
-	samples := fig5SamplePairs(rng, pairsPerHop)
-	perHop := make([][]float64, len(samples))
-	for h, pairs := range samples {
-		perHop[h] = fig5MeasureHop(pairs)
+	var res Fig5Result
+	var xs, ys []float64
+	for h, pairs := range fig5SamplePairs(rng, pairsPerHop) {
+		lats := make([]float64, 0, len(pairs))
+		for _, pr := range pairs {
+			m := machine.New(machine.DefaultConfig(Shape128))
+			r := m.PingPong(m.GC(pr.Src, pr.GCA), m.GC(pr.Dst, pr.GCB), 12)
+			lats = append(lats, r.OneWay.Nanoseconds())
+		}
+		avg := stats.Mean(lats)
+		paper := 0.0
+		if h >= 1 {
+			paper = 55.9 + 34.2*float64(h)
+			xs = append(xs, float64(h))
+			ys = append(ys, avg)
+		}
+		res.Points = append(res.Points, Fig5Point{Hops: h, AvgNs: avg, PaperNs: paper})
 	}
-	return fig5Assemble(perHop)
+	res.Fit = stats.Fit(xs, ys)
+	return res
 }
 
 // fig5Pair is one sampled GC pair of the Figure 5 sweep.
@@ -63,8 +78,8 @@ type fig5Pair struct {
 
 // fig5SamplePairs draws the per-hop pair samples. The draw sequence (hop
 // major; src, dst, both GC indices per pair) is pinned: it must consume
-// rng exactly as the paper runs always have, so the sharded runner jobs
-// reproduce the historical Fig5 numbers digit for digit.
+// rng exactly as the paper runs always have, so Fig5 reproduces the
+// historical numbers digit for digit.
 func fig5SamplePairs(rng *sim.Rand, pairsPerHop int) [][]fig5Pair {
 	gcs := chip.New(sim.NewClock(2800), chip.DefaultLatencies()).GCs()
 	out := make([][]fig5Pair, Shape128.Diameter()+1)
@@ -78,38 +93,6 @@ func fig5SamplePairs(rng *sim.Rand, pairsPerHop int) [][]fig5Pair {
 		out[h] = pairs
 	}
 	return out
-}
-
-// fig5MeasureHop ping-pongs every sampled pair of one hop count, each on a
-// private machine — the unit of work one runner sub-job performs.
-func fig5MeasureHop(pairs []fig5Pair) []float64 {
-	lats := make([]float64, 0, len(pairs))
-	for _, pr := range pairs {
-		m := machine.New(machine.DefaultConfig(Shape128))
-		a := m.GC(pr.Src, pr.GCA)
-		b := m.GC(pr.Dst, pr.GCB)
-		r := m.PingPong(a, b, 12)
-		lats = append(lats, r.OneWay.Nanoseconds())
-	}
-	return lats
-}
-
-// fig5Assemble folds per-hop latency samples into the figure.
-func fig5Assemble(perHop [][]float64) Fig5Result {
-	var res Fig5Result
-	var xs, ys []float64
-	for h, lats := range perHop {
-		avg := stats.Mean(lats)
-		paper := 0.0
-		if h >= 1 {
-			paper = 55.9 + 34.2*float64(h)
-			xs = append(xs, float64(h))
-			ys = append(ys, avg)
-		}
-		res.Points = append(res.Points, Fig5Point{Hops: h, AvgNs: avg, PaperNs: paper})
-	}
-	res.Fit = stats.Fit(xs, ys)
-	return res
 }
 
 func pickAtDistance(rng *sim.Rand, s topo.Shape, src topo.Coord, h int) topo.Coord {
@@ -337,27 +320,13 @@ type Fig11Result struct {
 }
 
 // Fig11 measures GC-to-GC fence barrier latency across hop counts on the
-// 128-node machine.
+// 128-node machine, each hop count on a private machine.
 func Fig11() Fig11Result {
-	ns := make([]float64, Shape128.Diameter()+1)
-	for h := range ns {
-		ns[h] = fig11MeasureHop(h)
-	}
-	return fig11Assemble(ns)
-}
-
-// fig11MeasureHop runs one hop count's barrier on a private machine — the
-// unit of work one runner sub-job performs.
-func fig11MeasureHop(h int) float64 {
-	m := machine.New(machine.DefaultConfig(Shape128))
-	return m.Barrier(h).Latency.Nanoseconds()
-}
-
-// fig11Assemble folds per-hop barrier latencies into the figure.
-func fig11Assemble(ns []float64) Fig11Result {
 	var res Fig11Result
 	var xs, ys []float64
-	for h, v := range ns {
+	for h := 0; h <= Shape128.Diameter(); h++ {
+		m := machine.New(machine.DefaultConfig(Shape128))
+		v := m.Barrier(h).Latency.Nanoseconds()
 		paper := 51.5
 		if h >= 1 {
 			paper = 91.2 + 51.8*float64(h)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -178,30 +177,18 @@ func TestJobsRegistryShardsAndNetsweep(t *testing.T) {
 	for _, j := range jobs {
 		names[j.Name] = true
 	}
-	// Fig5/Fig11 hop sweeps are sharded per hop count plus a reducer.
-	for h := 0; h <= Shape128.Diameter(); h++ {
-		for _, fig := range []string{"fig5", "fig11"} {
-			if !names[fmt.Sprintf("%s/h%d", fig, h)] {
-				t.Fatalf("missing shard %s/h%d", fig, h)
-			}
-		}
-	}
 	if !names["fig5"] || !names["fig11"] {
-		t.Fatal("missing figure reducers")
+		t.Fatal("missing figure jobs")
 	}
 	// Netsweep covers every shape x pattern, including a 512-node shape.
 	if !names["netsweep/8x8x8/tornado"] || !names["netsweep/4x4x8/uniform"] {
 		t.Fatalf("missing netsweep jobs: %v", names)
 	}
 
-	sel := SelectJobs(jobs, "fig5")
-	if len(sel) != Shape128.Diameter()+2 {
-		t.Fatalf("SelectJobs(fig5) = %d jobs, want shards + reducer", len(sel))
+	if sel := SelectJobs(jobs, "fig5"); len(sel) != 1 || sel[0].Name != "fig5" {
+		t.Fatalf("SelectJobs(fig5) = %d jobs, want the one fig5 job", len(sel))
 	}
-	if sel[len(sel)-1].Name != "fig5" {
-		t.Fatal("reducer must follow its shards")
-	}
-	sel = SelectJobs(jobs, "netsweep")
+	sel := SelectJobs(jobs, "netsweep")
 	if len(sel) != len(p.Shapes)*6 {
 		t.Fatalf("SelectJobs(netsweep) = %d jobs, want %d", len(sel), len(p.Shapes)*6)
 	}
@@ -210,20 +197,20 @@ func TestJobsRegistryShardsAndNetsweep(t *testing.T) {
 	}
 }
 
-// TestFig5ShardedMatchesDirect pins the sharding refactor: running the
-// fig5 sub-jobs + reducer through the runner must reproduce the direct
-// Fig5 call digit for digit, at any worker count.
+// TestFig5ShardedMatchesDirect pins the fig5 runner job: run through the
+// pool it must reproduce the direct Fig5 call digit for digit, at any
+// worker count.
 func TestFig5ShardedMatchesDirect(t *testing.T) {
 	p := DefaultParams()
 	p.Fig5Pairs = sz(2, 1)
 	want := Fig5(sim.NewRand(Fig5Seed), p.Fig5Pairs).Render()
 	for _, workers := range []int{1, 4} {
-		rep, err := runner.Run(SelectJobs(Jobs(p), "fig5"), workers)
+		rep, err := runner.Run(SelectJobs(Jobs(p), "fig5"), workers, runner.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rep.RenderAll(); got != want+"\n" {
-			t.Fatalf("workers=%d: sharded fig5 diverged:\n--- sharded ---\n%s--- direct ---\n%s", workers, got, want)
+			t.Fatalf("workers=%d: fig5 job diverged:\n--- job ---\n%s--- direct ---\n%s", workers, got, want)
 		}
 	}
 }
@@ -240,11 +227,11 @@ func TestNetsweepSmoke(t *testing.T) {
 	if len(jobs) != 6 {
 		t.Fatalf("want 6 pattern jobs, got %d", len(jobs))
 	}
-	seq, err := runner.Run(jobs, 1)
+	seq, err := runner.Run(jobs, 1, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runner.Run(jobs, 4)
+	par, err := runner.Run(jobs, 4, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

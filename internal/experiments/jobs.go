@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"anton3/internal/fault"
 	"anton3/internal/flow"
@@ -137,75 +136,6 @@ func DefaultParams() Params {
 
 		FaultSeed: 1,
 	}
-}
-
-// fig5Jobs shards the Figure 5 hop sweep: pair samples are drawn in the
-// historical rng order (lazily, once, on whichever worker needs them
-// first), each hop count measures on its own worker (hidden sub-jobs),
-// and a reducer assembles the figure — so the runner load-balances the
-// sweep with output identical to the sequential run.
-func fig5Jobs(p Params) []runner.Job {
-	samples := sync.OnceValue(func() [][]fig5Pair {
-		return fig5SamplePairs(sim.NewRand(Fig5Seed), p.Fig5Pairs)
-	})
-	hops := Shape128.Diameter() + 1
-	jobs := make([]runner.Job, 0, hops+1)
-	needs := make([]string, hops)
-	for h := 0; h < hops; h++ {
-		h := h
-		name := fmt.Sprintf("fig5/h%d", h)
-		needs[h] = name
-		jobs = append(jobs, runner.Job{
-			Name: name, Seed: Fig5Seed, Cost: 0.4, Hidden: true,
-			Run: func(*sim.Rand) (runner.Output, error) {
-				return runner.Output{Data: fig5MeasureHop(samples()[h])}, nil
-			}})
-	}
-	jobs = append(jobs, runner.Job{
-		Name: "fig5", Seed: Fig5Seed, Cost: 0.01, Needs: needs,
-		Reduce: func(_ *sim.Rand, in []runner.Result) (runner.Output, error) {
-			perHop := make([][]float64, len(in))
-			for i, res := range in {
-				if res.Err != "" {
-					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
-				}
-				perHop[i] = res.Data.([]float64)
-			}
-			r := fig5Assemble(perHop)
-			return runner.Output{Text: r.Render(), Data: r}, nil
-		}})
-	return jobs
-}
-
-// fig11Jobs shards the Figure 11 barrier sweep the same way.
-func fig11Jobs() []runner.Job {
-	hops := Shape128.Diameter() + 1
-	jobs := make([]runner.Job, 0, hops+1)
-	needs := make([]string, hops)
-	for h := 0; h < hops; h++ {
-		h := h
-		name := fmt.Sprintf("fig11/h%d", h)
-		needs[h] = name
-		jobs = append(jobs, runner.Job{
-			Name: name, Seed: 5, Cost: 0.12, Hidden: true,
-			Run: func(*sim.Rand) (runner.Output, error) {
-				return runner.Output{Data: fig11MeasureHop(h)}, nil
-			}})
-	}
-	jobs = append(jobs, runner.Job{
-		Name: "fig11", Seed: 5, Cost: 0.01, Needs: needs,
-		Reduce: func(_ *sim.Rand, in []runner.Result) (runner.Output, error) {
-			ns := make([]float64, len(in))
-			for i, res := range in {
-				if res.Err != "" {
-					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
-				}
-				ns[i] = res.Data.(float64)
-			}
-			r := fig11Assemble(ns)
-			return runner.Output{Text: r.Render(), Data: r}, nil
-		}})
-	return jobs
 }
 
 // policyNames flattens a policy list into the cache-key config: the
@@ -440,25 +370,29 @@ func Jobs(p Params) []runner.Job {
 			Run: func(*sim.Rand) (runner.Output, error) {
 				return runner.Output{Text: Tables()}, nil
 			}},
-	}
-	jobs = append(jobs, fig5Jobs(p)...)
-	jobs = append(jobs,
-		runner.Job{Name: "fig6", Seed: 2, Cost: 0.1,
+		{Name: "fig5", Seed: Fig5Seed, Cost: 3.6,
+			Run: func(rng *sim.Rand) (runner.Output, error) {
+				r := Fig5(rng, p.Fig5Pairs)
+				return runner.Output{Text: r.Render(), Data: r}, nil
+			}},
+		{Name: "fig6", Seed: 2, Cost: 0.1,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				r := Fig6()
 				return runner.Output{Text: r.Render(), Data: r}, nil
 			}},
-		runner.Job{Name: "fig9a", Seed: 3, Cost: 30,
+		{Name: "fig9a", Seed: 3, Cost: 30,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				pts := Fig9a(p.Fig9aSizes, p.Fig9aWarm, p.Fig9aMeasure)
 				return runner.Output{Text: RenderFig9a(pts), Data: pts}, nil
 			}},
 		fig9bJob(p),
-	)
-	jobs = append(jobs, fig11Jobs()...)
-	jobs = append(jobs,
+		{Name: "fig11", Seed: 5, Cost: 1.1,
+			Run: func(*sim.Rand) (runner.Output, error) {
+				r := Fig11()
+				return runner.Output{Text: r.Render(), Data: r}, nil
+			}},
 		fig12Job(p),
-		runner.Job{Name: "ablation-predictor-order", Seed: 7, Cost: 2,
+		{Name: "ablation-predictor-order", Seed: 7, Cost: 2,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				rows := AblationPredictorOrder(p.AblPredictorAtoms, 3, 3)
 				return runner.Output{
@@ -466,7 +400,7 @@ func Jobs(p Params) []runner.Job {
 					Data: rows,
 				}, nil
 			}},
-		runner.Job{Name: "ablation-pcache-size", Seed: 8, Cost: 10,
+		{Name: "ablation-pcache-size", Seed: 8, Cost: 10,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				rows := AblationPcacheSize(p.AblPcacheAtoms, 2, 2, p.AblPcacheSizes)
 				return runner.Output{
@@ -474,7 +408,7 @@ func Jobs(p Params) []runner.Job {
 					Data: rows,
 				}, nil
 			}},
-		runner.Job{Name: "ablation-inz-interleave", Seed: 9, Cost: 0.5,
+		{Name: "ablation-inz-interleave", Seed: 9, Cost: 0.5,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				rows := AblationINZInterleave(p.AblINZAtoms)
 				return runner.Output{
@@ -482,7 +416,7 @@ func Jobs(p Params) []runner.Job {
 					Data: rows,
 				}, nil
 			}},
-		runner.Job{Name: "ablation-fence-vs-pairwise", Seed: 10, Cost: 1,
+		{Name: "ablation-fence-vs-pairwise", Seed: 10, Cost: 1,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				rows := AblationFenceVsPairwise(topo.Shape{X: 4, Y: 4, Z: 8})
 				return runner.Output{
@@ -490,7 +424,7 @@ func Jobs(p Params) []runner.Job {
 					Data: rows,
 				}, nil
 			}},
-		runner.Job{Name: "ablation-dim-orders", Seed: 11, Cost: 1.5,
+		{Name: "ablation-dim-orders", Seed: 11, Cost: 1.5,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				rows := AblationDimOrders(p.AblDimWrites)
 				return runner.Output{
@@ -498,7 +432,7 @@ func Jobs(p Params) []runner.Job {
 					Data: rows,
 				}, nil
 			}},
-	)
+	}
 	// Cost hints: a saturate cell runs ~4 policies x (sweep + knee
 	// probes) of load-scaled closed-loop points, roughly 5x a netsweep
 	// cell; a faultsweep cell runs one saturate-style knee search per
@@ -516,10 +450,10 @@ func Jobs(p Params) []runner.Job {
 	return jobs
 }
 
-// SelectJobs filters jobs by subcommand name: a job matches itself or any
-// job it was sharded into (name-prefix "<selector>/", which also selects
-// the reducer and every netsweep cell), and "ablations" matches every
-// ablation-* job. It returns nil when nothing matches.
+// SelectJobs filters jobs by subcommand name: a job matches itself, a
+// grid selector matches every cell of its grid (name-prefix
+// "<selector>/", e.g. netsweep/4x4x8/uniform), and "ablations" matches
+// every ablation-* job. It returns nil when nothing matches.
 func SelectJobs(jobs []runner.Job, name string) []runner.Job {
 	if name == "all" {
 		return jobs

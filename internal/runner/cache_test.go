@@ -37,7 +37,7 @@ func TestCacheShortCircuitsJobs(t *testing.T) {
 	store := resultstore.OpenMemory()
 	var executed atomic.Int64
 
-	first, err := RunEmitOpts(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
+	first, err := Run(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCacheShortCircuitsJobs(t *testing.T) {
 		}
 	}
 
-	second, err := RunEmitOpts(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
+	second, err := Run(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCacheShortCircuitsJobs(t *testing.T) {
 // exactly as if the key were absent.
 func TestCacheIgnoredWithoutStore(t *testing.T) {
 	var executed atomic.Int64
-	rep, err := Run(cacheableJobs(4, &executed), 2)
+	rep, err := Run(cacheableJobs(4, &executed), 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,34 +92,6 @@ func TestCacheIgnoredWithoutStore(t *testing.T) {
 	for _, r := range rep.Results {
 		if r.Cached {
 			t.Fatalf("result %s marked Cached without a store", r.Name)
-		}
-	}
-}
-
-// TestCacheKeyRejectedOnReducePaths checks the static validation that
-// keeps memoized Data type-faithful: a cached Data round-trips as generic
-// JSON, so a Reduce job may not be memoized and a memoized job may not
-// feed one.
-func TestCacheKeyRejectedOnReducePaths(t *testing.T) {
-	run := func(*sim.Rand) (Output, error) { return Output{}, nil }
-	red := func(*sim.Rand, []Result) (Output, error) { return Output{}, nil }
-	key := resultstore.KeyFor("test/cell", 1, struct{}{})
-	cases := []struct {
-		name string
-		jobs []Job
-	}{
-		{"key on reduce job", []Job{
-			{Name: "a", Run: run},
-			{Name: "agg", Needs: []string{"a"}, CacheKey: key, Reduce: red},
-		}},
-		{"key on job feeding a reduce", []Job{
-			{Name: "a", CacheKey: key, Run: run},
-			{Name: "agg", Needs: []string{"a"}, Reduce: red},
-		}},
-	}
-	for _, c := range cases {
-		if _, err := Run(c.jobs, 2); err == nil {
-			t.Fatalf("%s: expected error", c.name)
 		}
 	}
 }

@@ -6,6 +6,8 @@
 // on separate goroutines — the runner exploits that to use every core while
 // keeping output deterministic:
 //
+//   - jobs never depend on one another: every job is ready at once and
+//     the pool dispatches them by Cost, most expensive first;
 //   - each Job carries its own seed, from which the runner derives a fresh
 //     sim.Rand; random streams never depend on which worker runs the job or
 //     in what order jobs finish;
@@ -37,7 +39,7 @@ type Output struct {
 	Data any    // typed result rows, serialized into the JSON artifact
 }
 
-// Job is one self-contained experiment, or a reduction over other jobs.
+// Job is one self-contained experiment.
 type Job struct {
 	// Name identifies the job in reports and artifacts ("fig5", "tables").
 	// Names must be unique within one Run.
@@ -49,30 +51,15 @@ type Job struct {
 	// jobs first so the long pole overlaps the small jobs instead of
 	// trailing them; it has no effect on output, only on wall time.
 	Cost float64
-	// Hidden marks a job whose Result is recorded in the report but whose
-	// Text is excluded from RenderAll and caller display — the shape of a
-	// sub-job whose rows a Reduce job folds into one figure.
-	Hidden bool
-	// Run executes the experiment with the job's seeded RNG. Exactly one
-	// of Run and Reduce must be set.
+	// Run executes the experiment with the job's seeded RNG.
 	Run func(rng *sim.Rand) (Output, error)
-	// Needs lists jobs whose Results this job consumes; the pool holds
-	// the job back until all of them have completed, then calls Reduce
-	// with their Results in Needs order. Sharded experiments use this to
-	// split a sweep into per-slice sub-jobs plus one assembling reducer
-	// while keeping output byte-identical at any worker count.
-	Needs  []string
-	Reduce func(rng *sim.Rand, inputs []Result) (Output, error)
 	// CacheKey, when valid and the pool runs with Options.Cache, lets
 	// the job short-circuit: a stored Output under the key is returned
 	// without calling Run (or ShardRun), and a computed Output is stored
 	// back on success. The key must capture the job's entire
 	// configuration and seed (resultstore.KeyFor); the job must be a
-	// pure function of them. Only Run jobs may carry a key — a cached
-	// Data field round-trips through JSON as generic values
-	// (maps/slices), so jobs whose Results a Reduce consumes with type
-	// assertions must not be memoized, and resolveDeps rejects both a
-	// keyed Reduce job and a keyed dependency.
+	// pure function of them. A cached Data field round-trips through
+	// JSON as generic values (maps/slices), not the original types.
 	CacheKey resultstore.Key
 	// ShardRun, when set alongside Run, lets the pool run the job with
 	// extra kernel shards when workers would otherwise idle (see
@@ -110,7 +97,6 @@ type Options struct {
 type Result struct {
 	Name   string `json:"name"`
 	Seed   uint64 `json:"seed"`
-	Hidden bool   `json:"hidden,omitempty"`
 	Text   string `json:"text"`
 	Data   any    `json:"data,omitempty"`
 	WallNs int64  `json:"wall_ns"`
@@ -144,24 +130,15 @@ type Report struct {
 }
 
 // Run executes jobs on a pool of workers goroutines and returns the
-// aggregated report. workers <= 0 means runtime.GOMAXPROCS(0). The first
-// job error is returned (the report still carries every result, including
-// the failed job's Err); a panicking job propagates its panic.
-func Run(jobs []Job, workers int) (Report, error) {
-	return RunEmit(jobs, workers, nil)
-}
-
-// RunEmit is Run with streaming: emit (if non-nil) is called on the
-// caller's goroutine with each Result in submission order, as soon as
-// that result and all earlier ones have completed. A driver printing
-// emitted texts (skipping Hidden ones) produces output byte-identical to
-// a sequential run without waiting for the whole pool to drain.
-func RunEmit(jobs []Job, workers int, emit func(Result)) (Report, error) {
-	return RunEmitOpts(jobs, workers, Options{}, emit)
-}
-
-// RunEmitOpts is RunEmit with scheduling options.
-func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Report, error) {
+// aggregated report. workers <= 0 means runtime.GOMAXPROCS(0). emit (if
+// non-nil) is called on the caller's goroutine with each Result in
+// submission order, as soon as that result and all earlier ones have
+// completed, so a driver printing emitted texts produces output
+// byte-identical to a sequential run without waiting for the whole pool to
+// drain. The first job error is returned (the report still carries every
+// result, including the failed job's Err); a panicking job propagates its
+// panic.
+func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -185,27 +162,18 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 		// snapshotted here and the delta taken after the pool drains.
 		cacheStart = opts.Cache.Stats()
 	}
-	deps, dependents, err := resolveDeps(jobs)
-	if err != nil {
+	if err := validate(jobs); err != nil {
 		return rep, err
 	}
 
-	// Among ready jobs, dispatch expensive ones first so the longest job
-	// starts as early as its dependencies allow.
-	byCostDesc := func(idxs []int) {
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return jobs[idxs[a]].Cost > jobs[idxs[b]].Cost
-		})
+	// Dispatch the expensive jobs first so the longest starts immediately.
+	pendingQ := make([]int, len(jobs))
+	for i := range pendingQ {
+		pendingQ[i] = i
 	}
-	indeg := make([]int, len(jobs))
-	var ready []int
-	for i := range jobs {
-		indeg[i] = len(deps[i])
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	byCostDesc(ready)
+	sort.SliceStable(pendingQ, func(a, b int) bool {
+		return jobs[pendingQ[a]].Cost > jobs[pendingQ[b]].Cost
+	})
 
 	start := time.Now()
 	cpu0 := processCPUNs()
@@ -220,7 +188,7 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 			for wk := range next {
 				idx := wk.idx
 				job := jobs[idx]
-				res := Result{Name: job.Name, Seed: job.Seed, Hidden: job.Hidden}
+				res := Result{Name: job.Name, Seed: job.Seed}
 				t0 := time.Now()
 				var out Output
 				var err error
@@ -235,15 +203,6 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 				switch {
 				case res.Cached:
 					// Memoized: the stored Output is what Run produced.
-				case job.Reduce != nil:
-					// The receive of each dependency's index on done
-					// ordered its Results write before this job was
-					// pushed onto next.
-					inputs := make([]Result, len(deps[idx]))
-					for i, d := range deps[idx] {
-						inputs[i] = rep.Results[d]
-					}
-					out, err = job.Reduce(sim.NewRand(job.Seed), inputs)
 				case wk.shards > 1:
 					out, err = job.ShardRun(sim.NewRand(job.Seed), wk.shards)
 				default:
@@ -264,8 +223,8 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 			}
 		}()
 	}
-	// Ready jobs wait in a cost-sorted pending queue and are released to
-	// the worker channel only up to the goroutine count: holding the rest
+	// Jobs wait in the cost-sorted pending queue and are released to the
+	// worker channel only up to the goroutine count: holding the rest
 	// back lets every dispatch see the pool's true state, so auto-shard
 	// promotion is evaluated at each job's start rather than once at
 	// startup.
@@ -278,7 +237,6 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 	// goroutines.
 	busyCores := 0
 	coresOf := make([]int, len(jobs))
-	var pendingQ []int
 	fill := func() {
 		for len(pendingQ) > 0 && inFlight < workers {
 			idx := pendingQ[0]
@@ -305,12 +263,7 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 			closed = true
 		}
 	}
-	dispatch := func(idxs []int) {
-		pendingQ = append(pendingQ, idxs...)
-		byCostDesc(pendingQ)
-		fill()
-	}
-	dispatch(ready)
+	fill()
 	// Emit the contiguous completed prefix as completions arrive; the
 	// receive on done orders each Results write before its read here.
 	completed := make([]bool, len(jobs))
@@ -320,14 +273,7 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 		inFlight--
 		busyCores -= coresOf[idx]
 		completed[idx] = true
-		var unblocked []int
-		for _, d := range dependents[idx] {
-			if indeg[d]--; indeg[d] == 0 {
-				unblocked = append(unblocked, d)
-			}
-		}
-		byCostDesc(unblocked)
-		dispatch(unblocked)
+		fill()
 		for emitted < len(jobs) && completed[emitted] {
 			if emit != nil {
 				emit(rep.Results[emitted])
@@ -366,105 +312,33 @@ func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Repo
 }
 
 // cachedOutput is the stored envelope of a memoized job: exactly the
-// Output fields a fresh Run produces. Data comes back as generic JSON
-// values, which is why memoization is restricted to jobs nothing
-// type-asserts against.
+// Output fields a fresh Run produces.
 type cachedOutput struct {
 	Text string `json:"text"`
 	Data any    `json:"data,omitempty"`
 }
 
-// resolveDeps validates names and Needs references and returns, per job,
-// the indices it depends on and the indices depending on it. Unknown
-// names, duplicate names, mis-set Run/Reduce, cache keys where a cached
-// (generic-JSON) Data could leak into a Reduce's type assertions, and
-// dependency cycles are errors — caught before any worker starts.
-func resolveDeps(jobs []Job) (deps, dependents [][]int, err error) {
-	idxByName := make(map[string]int, len(jobs))
-	for i, j := range jobs {
-		if _, dup := idxByName[j.Name]; dup {
-			return nil, nil, fmt.Errorf("runner: duplicate job name %q", j.Name)
+// validate rejects duplicate names and jobs without a Run function before
+// any worker starts.
+func validate(jobs []Job) error {
+	seen := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		if seen[j.Name] {
+			return fmt.Errorf("runner: duplicate job name %q", j.Name)
 		}
-		idxByName[j.Name] = i
-	}
-	deps = make([][]int, len(jobs))
-	dependents = make([][]int, len(jobs))
-	for i, j := range jobs {
-		if len(j.Needs) == 0 {
-			if j.Run == nil {
-				return nil, nil, fmt.Errorf("runner: job %q has no Run function", j.Name)
-			}
-			if j.Reduce != nil {
-				return nil, nil, fmt.Errorf("runner: job %q sets Reduce without Needs", j.Name)
-			}
-			continue
-		}
-		if j.ShardRun != nil {
-			return nil, nil, fmt.Errorf("runner: job %q sets ShardRun on a Reduce job", j.Name)
-		}
-		if j.CacheKey.Valid() {
-			return nil, nil, fmt.Errorf("runner: job %q sets CacheKey on a Reduce job", j.Name)
-		}
-		if j.Reduce == nil || j.Run != nil {
-			return nil, nil, fmt.Errorf("runner: job %q has Needs and must set Reduce (and not Run)", j.Name)
-		}
-		for _, name := range j.Needs {
-			d, ok := idxByName[name]
-			if !ok {
-				return nil, nil, fmt.Errorf("runner: job %q needs unknown job %q", j.Name, name)
-			}
-			if d == i {
-				return nil, nil, fmt.Errorf("runner: job %q needs itself", j.Name)
-			}
-			deps[i] = append(deps[i], d)
-			dependents[d] = append(dependents[d], i)
+		seen[j.Name] = true
+		if j.Run == nil {
+			return fmt.Errorf("runner: job %q has no Run function", j.Name)
 		}
 	}
-	// A memoized dependency would hand its Reduce a Data field that
-	// round-tripped through the store as generic JSON; reject the
-	// combination outright rather than let type assertions panic on a
-	// warm cache only.
-	for i, j := range jobs {
-		if j.CacheKey.Valid() && len(dependents[i]) > 0 {
-			return nil, nil, fmt.Errorf("runner: job %q sets CacheKey but its Result feeds a Reduce job", j.Name)
-		}
-	}
-	// Kahn's algorithm: if the peel doesn't consume every job, the rest
-	// form a cycle.
-	indeg := make([]int, len(jobs))
-	var queue []int
-	for i := range jobs {
-		indeg[i] = len(deps[i])
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, d := range dependents[i] {
-			if indeg[d]--; indeg[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if seen != len(jobs) {
-		return nil, nil, fmt.Errorf("runner: dependency cycle among jobs")
-	}
-	return deps, dependents, nil
+	return nil
 }
 
 // RenderAll concatenates the rendered outputs in submission order, one
 // blank line between jobs — exactly what a sequential driver would print.
-// Hidden results (sub-jobs folded by a reducer) are skipped.
 func (r Report) RenderAll() string {
 	var out []byte
 	for _, res := range r.Results {
-		if res.Hidden {
-			continue
-		}
 		out = append(out, res.Text...)
 		out = append(out, '\n')
 	}

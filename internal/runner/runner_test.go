@@ -38,11 +38,11 @@ func noisyJobs(n int) []Job {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
-	seq, err := Run(noisyJobs(16), 1)
+	seq, err := Run(noisyJobs(16), 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(noisyJobs(16), 8)
+	par, err := Run(noisyJobs(16), 8, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSeedsIndependentOfWorkerCount(t *testing.T) {
 					return Output{}, nil
 				}}
 		}
-		if _, err := Run(jobs, workers); err != nil {
+		if _, err := Run(jobs, workers, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		return out[:]
@@ -91,7 +91,7 @@ func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("kernel exploded")
 	jobs := noisyJobs(6)
 	jobs[3].Run = func(*sim.Rand) (Output, error) { return Output{}, boom }
-	rep, err := Run(jobs, 4)
+	rep, err := Run(jobs, 4, Options{}, nil)
 	if err == nil {
 		t.Fatal("job error not propagated")
 	}
@@ -121,7 +121,7 @@ func TestCostHintOrdersDispatchNotOutput(t *testing.T) {
 				return Output{Text: fmt.Sprintf("out%d", i)}, nil
 			}}
 	}
-	rep, err := Run(jobs, 1)
+	rep, err := Run(jobs, 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCostHintOrdersDispatchNotOutput(t *testing.T) {
 func TestEmitStreamsInSubmissionOrder(t *testing.T) {
 	jobs := noisyJobs(12)
 	var emitted []string
-	rep, err := RunEmit(jobs, 4, func(r Result) {
+	rep, err := Run(jobs, 4, Options{}, func(r Result) {
 		emitted = append(emitted, r.Name)
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestEmitStreamsInSubmissionOrder(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Run(noisyJobs(5), 2)
+	rep, err := Run(noisyJobs(5), 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,126 +189,41 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestEmptyAndOversubscribed(t *testing.T) {
-	rep, err := Run(nil, 8)
+	rep, err := Run(nil, 8, Options{}, nil)
 	if err != nil || rep.Jobs != 0 || rep.Speedup != 1 {
 		t.Fatalf("empty run: %+v, %v", rep, err)
 	}
 	// More workers than jobs must clamp, not deadlock.
-	rep, err = Run(noisyJobs(2), 64)
+	rep, err = Run(noisyJobs(2), 64, Options{}, nil)
 	if err != nil || rep.Workers != 2 {
 		t.Fatalf("oversubscribed run: workers=%d, %v", rep.Workers, err)
 	}
 }
 
-func TestReduceJobSeesInputsInNeedsOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		jobs := []Job{
-			{Name: "shard-a", Seed: 1, Hidden: true, Run: func(*sim.Rand) (Output, error) {
-				time.Sleep(2 * time.Millisecond) // finish after shard-b under parallelism
-				return Output{Text: "hidden-a", Data: 10}, nil
-			}},
-			{Name: "shard-b", Seed: 2, Hidden: true, Run: func(*sim.Rand) (Output, error) {
-				return Output{Text: "hidden-b", Data: 32}, nil
-			}},
-			{Name: "sum", Seed: 3, Needs: []string{"shard-a", "shard-b"},
-				Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
-					if len(in) != 2 || in[0].Name != "shard-a" || in[1].Name != "shard-b" {
-						return Output{}, fmt.Errorf("inputs out of order: %v", in)
-					}
-					return Output{Text: fmt.Sprintf("sum=%d", in[0].Data.(int)+in[1].Data.(int))}, nil
-				}},
-		}
-		rep, err := Run(jobs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want := "sum=42\n"; rep.RenderAll() != want {
-			t.Fatalf("workers=%d: RenderAll = %q, want %q (hidden shards excluded)", workers, rep.RenderAll(), want)
-		}
-		if !rep.Results[0].Hidden || rep.Results[2].Hidden {
-			t.Fatalf("workers=%d: hidden flags not recorded", workers)
-		}
-	}
-}
-
-func TestReduceChainsAndEmitOrder(t *testing.T) {
-	// A diamond: two shards -> mid reducer -> final reducer, plus an
-	// independent job. Emission must still be submission order.
-	jobs := []Job{
-		{Name: "s1", Hidden: true, Run: func(*sim.Rand) (Output, error) { return Output{Data: 1}, nil }},
-		{Name: "s2", Hidden: true, Run: func(*sim.Rand) (Output, error) { return Output{Data: 2}, nil }},
-		{Name: "mid", Hidden: true, Needs: []string{"s1", "s2"},
-			Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
-				return Output{Data: in[0].Data.(int) + in[1].Data.(int)}, nil
-			}},
-		{Name: "final", Needs: []string{"mid"},
-			Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
-				return Output{Text: fmt.Sprintf("final=%d", in[0].Data.(int))}, nil
-			}},
-		{Name: "solo", Run: func(*sim.Rand) (Output, error) { return Output{Text: "solo"}, nil }},
-	}
-	var emitted []string
-	rep, err := RunEmit(jobs, 3, func(r Result) { emitted = append(emitted, r.Name) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "final=3\nsolo\n"; rep.RenderAll() != want {
-		t.Fatalf("RenderAll = %q, want %q", rep.RenderAll(), want)
-	}
-	want := []string{"s1", "s2", "mid", "final", "solo"}
-	if len(emitted) != len(want) {
-		t.Fatalf("emitted %v", emitted)
-	}
-	for i := range want {
-		if emitted[i] != want[i] {
-			t.Fatalf("emit order %v, want %v", emitted, want)
-		}
-	}
-}
-
+// TestDependencyValidation checks that a malformed job list is rejected
+// before any worker starts: duplicate names and jobs without a Run
+// function each return their own error and run nothing.
 func TestDependencyValidation(t *testing.T) {
-	run := func(*sim.Rand) (Output, error) { return Output{}, nil }
-	red := func(*sim.Rand, []Result) (Output, error) { return Output{}, nil }
+	var ran atomic.Int64
+	run := func(*sim.Rand) (Output, error) { ran.Add(1); return Output{}, nil }
 	cases := []struct {
 		name string
 		jobs []Job
+		want string
 	}{
-		{"unknown need", []Job{{Name: "a", Needs: []string{"ghost"}, Reduce: red}}},
-		{"duplicate name", []Job{{Name: "a", Run: run}, {Name: "a", Run: run}}},
-		{"needs without reduce", []Job{{Name: "a", Run: run}, {Name: "b", Needs: []string{"a"}, Run: run}}},
-		{"reduce without needs", []Job{{Name: "a", Run: run, Reduce: red}}},
-		{"no run", []Job{{Name: "a"}}},
-		{"self cycle via pair", []Job{
-			{Name: "a", Needs: []string{"b"}, Reduce: red},
-			{Name: "b", Needs: []string{"a"}, Reduce: red},
-		}},
+		{"duplicate name", []Job{{Name: "a", Run: run}, {Name: "a", Run: run}},
+			`runner: duplicate job name "a"`},
+		{"no run", []Job{{Name: "a", Run: run}, {Name: "b"}},
+			`runner: job "b" has no Run function`},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.jobs, 2); err == nil {
-			t.Fatalf("%s: expected error", c.name)
+		_, err := Run(c.jobs, 2, Options{}, nil)
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
-}
-
-func TestReduceSeesDependencyError(t *testing.T) {
-	jobs := []Job{
-		{Name: "bad", Hidden: true, Run: func(*sim.Rand) (Output, error) {
-			return Output{}, errors.New("shard failed")
-		}},
-		{Name: "agg", Needs: []string{"bad"},
-			Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
-				if in[0].Err != "" {
-					return Output{}, fmt.Errorf("input %s: %s", in[0].Name, in[0].Err)
-				}
-				return Output{Text: "ok"}, nil
-			}},
-	}
-	rep, err := Run(jobs, 2)
-	if err == nil {
-		t.Fatal("expected propagated error")
-	}
-	if rep.Results[1].Err == "" {
-		t.Fatal("reducer should have reported the shard failure")
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("invalid job lists ran %d jobs, want 0", n)
 	}
 }
 
@@ -339,7 +254,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 
 	// One shardable long pole, four workers, nothing else ready: the pole
 	// should get all the spare capacity.
-	rep, err := RunEmitOpts([]Job{mk("pole", 10, true)}, 4, Options{AutoShard: true}, nil)
+	rep, err := Run([]Job{mk("pole", 10, true)}, 4, Options{AutoShard: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +268,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// Enough ready jobs to occupy every worker: no spare, no promotion.
 	granted = map[string]int{}
 	jobs := []Job{mk("a", 4, true), mk("b", 3, true), mk("c", 2, true), mk("d", 1, true)}
-	if _, err := RunEmitOpts(jobs, 4, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run(jobs, 4, Options{AutoShard: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, g := range granted {
@@ -365,7 +280,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// Two shardable jobs on four workers: the spare pair of cores splits,
 	// one extra shard budget to each (2 + 2 = the core budget).
 	granted = map[string]int{}
-	if _, err := RunEmitOpts([]Job{mk("a", 2, true), mk("b", 1, true)}, 4, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run([]Job{mk("a", 2, true), mk("b", 1, true)}, 4, Options{AutoShard: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if granted["a"] != 2 || granted["b"] != 2 {
@@ -374,7 +289,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 
 	// AutoShard off: ShardRun untouched even with idle workers.
 	granted = map[string]int{}
-	if _, err := RunEmitOpts([]Job{mk("pole", 10, true)}, 4, Options{}, nil); err != nil {
+	if _, err := Run([]Job{mk("pole", 10, true)}, 4, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if granted["pole"] != 1 {
@@ -387,7 +302,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// later dispatches see less spare — not 4+4+4=12 goroutines).
 	granted = map[string]int{}
 	jobs = []Job{mk("a", 3, true), mk("b", 2, true), mk("c", 1, true)}
-	if _, err := RunEmitOpts(jobs, 8, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run(jobs, 8, Options{AutoShard: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if total := granted["a"] + granted["b"] + granted["c"]; total > 8 {

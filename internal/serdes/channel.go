@@ -12,8 +12,8 @@ type ChannelConfig struct {
 	GbpsLane int // per-lane bandwidth (29 Gb/s on Anton 3)
 	// FixedLatency is the load-independent part of a channel crossing:
 	// SERDES tx, wire flight, SERDES rx/CDR, and the Channel Adapter logic
-	// at both ends. Calibrated in internal/core so that the measured
-	// off-chip per-hop latency lands at the paper's 34.2 ns.
+	// at both ends. Calibrated in chip.Latencies.ChannelFixed so that the
+	// measured off-chip per-hop latency lands at the paper's 34.2 ns.
 	FixedLatency sim.Time
 	Compress     CompressConfig
 }

@@ -52,11 +52,12 @@ func buildBatchWorkload(k *Kernel, log *[]string, seed uint64, lineage bool) {
 }
 
 // TestStepBatchMatchesStepOrder is the batch-equivalence property: for the
-// same workload, firing events through StepBatch (timestamp batches via
-// DrainAt) and through the plain one-event step loop (Run) produces the
-// identical (time, order) firing sequence — under sequence tie ordering
-// and under lineage tie ordering, and likewise when the run is chopped
-// into RunUntilBatch windows the way ParallelExec drives shard kernels.
+// same workload, firing events through RunUntilBatch (timestamp batches
+// via DrainAt) and through the plain one-event step loop (Run) produces
+// the identical (time, order) firing sequence — under sequence tie
+// ordering and under lineage tie ordering, both in one unbounded window
+// and chopped into short windows the way ParallelExec drives shard
+// kernels.
 func TestStepBatchMatchesStepOrder(t *testing.T) {
 	for _, lineage := range []bool{false, true} {
 		name := "seq"
@@ -73,20 +74,15 @@ func TestStepBatchMatchesStepOrder(t *testing.T) {
 				var batchLog []string
 				kb := NewKernel()
 				buildBatchWorkload(kb, &batchLog, seed, lineage)
-				var batchEnd Time
-				for {
-					at, ok := kb.StepBatch()
-					if !ok {
-						break
-					}
-					batchEnd = at
+				if !kb.RunUntilBatch(1 << 40) {
+					t.Fatalf("seed %d: RunUntilBatch left events pending", seed)
 				}
 				if !reflect.DeepEqual(stepLog, batchLog) {
-					t.Fatalf("seed %d: StepBatch order diverges from step order\nstep:  %v\nbatch: %v",
+					t.Fatalf("seed %d: RunUntilBatch order diverges from step order\nstep:  %v\nbatch: %v",
 						seed, stepLog, batchLog)
 				}
-				if stepEnd != batchEnd {
-					t.Fatalf("seed %d: last timestamp %d via batches, %d via steps", seed, batchEnd, stepEnd)
+				if stepEnd != kb.lastAt {
+					t.Fatalf("seed %d: last timestamp %d via batches, %d via steps", seed, kb.lastAt, stepEnd)
 				}
 
 				var winLog []string
@@ -108,10 +104,10 @@ type countActor struct{ n int }
 func (a *countActor) Act() { a.n++ }
 
 // TestStepBatchZeroAllocsWhenWarm pins the batch path's steady state: once
-// the kernel's batch buffer, queue tiers and event pool have grown,
-// draining and firing a timestamp batch allocates nothing — the property that lets ParallelExec windows run through
-// RunUntilBatch without the per-window garbage the outbox path used to
-// produce.
+// the kernel's batch buffer, queue tiers and event pool have grown, a
+// RunUntilBatch window that drains and fires a timestamp batch allocates
+// nothing — the property that lets ParallelExec windows run without the
+// per-window garbage the outbox path used to produce.
 func TestStepBatchZeroAllocsWhenWarm(t *testing.T) {
 	k := NewKernel()
 	actors := make([]countActor, 8)
@@ -120,13 +116,13 @@ func TestStepBatchZeroAllocsWhenWarm(t *testing.T) {
 		for i := range actors {
 			k.AtActor(at, &actors[i])
 		}
-		k.StepBatch()
+		k.RunUntilBatch(at)
 	}
 	for i := 0; i < 16; i++ {
 		fire()
 	}
 	if n := testing.AllocsPerRun(100, fire); n != 0 {
-		t.Fatalf("warm StepBatch allocates %.1f times/op, want 0", n)
+		t.Fatalf("warm RunUntilBatch allocates %.1f times/op, want 0", n)
 	}
 }
 
@@ -156,7 +152,7 @@ func TestDrainAtBatchBoundaries(t *testing.T) {
 		t.Fatalf("%d events pending after drain, want the 1 at t=20", k.Pending())
 	}
 	for _, b := range got {
-		b.Fire()
+		b.Fn()
 	}
 	if !reflect.DeepEqual(log, []string{"a", "b"}) {
 		t.Fatalf("batch fired %v, want [a b]", log)

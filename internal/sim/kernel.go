@@ -115,14 +115,13 @@ var checkRanks = testing.Testing()
 // heap would produce. Once the pool, chunks and arrays have grown to the
 // simulation's peak queue depth, scheduling and firing allocate nothing.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	pool    []event
-	skey    []heapKey // skey[slot] is a pending slot's ordering key
-	free    int32     // 1 + first recycled pool slot (linked through seq), 0 if none
-	stopped bool
-	fired   uint64
-	lastAt  Time // timestamp of the last executed event (unlike now, never forced forward by RunUntil)
+	now    Time
+	seq    uint64
+	pool   []event
+	skey   []heapKey // skey[slot] is a pending slot's ordering key
+	free   int32     // 1 + first recycled pool slot (linked through seq), 0 if none
+	fired  uint64
+	lastAt Time // timestamp of the last executed event (unlike now, never forced forward by RunUntil)
 
 	// Near heap: 4-ary min-heap of pool slots, rooted at heapRoot, with
 	// keys[i] the ordering key of slot heap[i].
@@ -146,7 +145,7 @@ type Kernel struct {
 
 	far []farEntry // binary min-heap by farLess: buckets >= cur+ringSize
 
-	batch []Batched // DrainAt/StepBatch scratch, reused across batches
+	batch []Batched // DrainAt scratch of runBatchesAt, reused across batches
 
 	// Lineage tie ordering (sharded execution; see BeginLineageOrder).
 	lineage      bool
@@ -354,17 +353,11 @@ func (k *Kernel) Reset() {
 	k.chunkNext = k.chunkNext[:0]
 	k.freeChunk = 0
 	k.far = k.far[:0]
-	k.stopped = false
 	k.fired = 0
 	k.lineage = false
 	k.setupSeq = 0
 	k.unrankedTies = 0
 }
-
-// LastFired reports the timestamp of the most recently executed event.
-// Unlike Now, it is never advanced by a RunUntil deadline, so after a
-// windowed run it is the drain time a sequential Run would have returned.
-func (k *Kernel) LastFired() Time { return k.lastAt }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
 // it is always a modeling bug.
@@ -422,9 +415,6 @@ func (k *Kernel) AfterActor(delay Time, a Actor) {
 	}
 	k.AtActor(k.now+delay, a)
 }
-
-// Stop makes Run return after the currently executing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // pop removes the earliest pending event — the smaller of the run's head
 // and the near heap's root, activating the next bucket when both are
@@ -762,8 +752,8 @@ func (k *Kernel) step() {
 // pending.
 //
 // Events scheduled *while a drained batch executes* at that same timestamp
-// are not part of the batch; they form the next one — which StepBatch (and
-// the Run/RunUntil loops) pick up by re-draining before moving the clock.
+// are not part of the batch; they form the next one — which RunUntilBatch
+// picks up by re-draining before moving the clock.
 // Under sequence ordering this reproduces step() order exactly: a newly
 // scheduled same-time event has a higher sequence than everything already
 // drained, so step() would fire it last too. Under lineage ordering it is
@@ -795,30 +785,6 @@ type Batched struct {
 	Actor Actor
 }
 
-// Fire executes the batched event.
-func (b Batched) Fire() {
-	if b.Fn != nil {
-		b.Fn()
-	} else {
-		b.Actor.Act()
-	}
-}
-
-// StepBatch fires every pending event at the earliest timestamp — including
-// events those firings schedule back at the same timestamp — and returns
-// that timestamp with ok=true, or ok=false if nothing was pending. It is
-// equivalent to calling step() until the earliest timestamp changes (see
-// DrainAt for the exact ordering contract), while paying the batch's
-// bookkeeping once instead of per event.
-func (k *Kernel) StepBatch() (Time, bool) {
-	t, ok := k.nextAt()
-	if !ok {
-		return 0, false
-	}
-	k.runBatchesAt(t)
-	return t, true
-}
-
 // runBatchesAt drains and fires timestamp-t batches until no events at t
 // remain (an executing batch may schedule follow-up work at t).
 func (k *Kernel) runBatchesAt(t Time) {
@@ -836,28 +802,23 @@ func (k *Kernel) runBatchesAt(t Time) {
 	}
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the time of the last executed event.
+// Run executes events until the queue drains. It returns the time of the
+// last executed event.
 func (k *Kernel) Run() Time {
-	k.stopped = false
-	for k.Pending() > 0 && !k.stopped {
+	for k.Pending() > 0 {
 		k.step()
 	}
 	return k.now
 }
 
 // RunUntilBatch executes events with timestamps <= deadline like RunUntil,
-// but fires each timestamp's events as drained batches (see StepBatch /
-// DrainAt for the ordering contract): the window loop pays the peek and
-// deadline check once per timestamp instead of once per event. ParallelExec
-// windows run shard kernels through this.
+// but fires each timestamp's events as drained batches (see DrainAt for
+// the ordering contract), including events those firings schedule back at
+// the same timestamp: the window loop pays the peek and deadline check
+// once per timestamp instead of once per event. ParallelExec windows run
+// shard kernels through this.
 func (k *Kernel) RunUntilBatch(deadline Time) bool {
-	k.stopped = false
-	for !k.stopped {
-		at, ok := k.nextAt()
-		if !ok {
-			break
-		}
+	for at, ok := k.nextAt(); ok; at, ok = k.nextAt() {
 		if at > deadline {
 			k.now = deadline
 			return false
@@ -874,12 +835,7 @@ func (k *Kernel) RunUntilBatch(deadline Time) bool {
 // beyond the deadline remain queued. It returns true if the queue drained
 // before the deadline.
 func (k *Kernel) RunUntil(deadline Time) bool {
-	k.stopped = false
-	for !k.stopped {
-		at, ok := k.nextAt()
-		if !ok {
-			break
-		}
+	for at, ok := k.nextAt(); ok; at, ok = k.nextAt() {
 		if at > deadline {
 			k.now = deadline
 			return false

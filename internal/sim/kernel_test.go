@@ -98,22 +98,6 @@ func TestKernelPastPanics(t *testing.T) {
 	k.Run()
 }
 
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	ran := 0
-	k.At(1, func() { ran++; k.Stop() })
-	k.At(2, func() { ran++ })
-	k.Run()
-	if ran != 1 {
-		t.Fatalf("Stop did not halt the kernel: ran=%d", ran)
-	}
-	// Run again resumes the remaining event.
-	k.Run()
-	if ran != 2 {
-		t.Fatalf("resume after Stop: ran=%d, want 2", ran)
-	}
-}
-
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	ran := 0

@@ -52,10 +52,8 @@ func (o *Outbox) Defer(at Time, a Actor) {
 // ordered). For results that are additionally *independent of the shard
 // count*, same-timestamp execution order must also match the sequential
 // kernel's — that is what Kernel.BeginLineageOrder provides for workloads
-// whose runtime events are Lineaged actors.
-//
-// Stop is not supported on kernels driven by a ParallelExec; Run executes
-// until every kernel drains.
+// whose runtime events are Lineaged actors. Run executes until every
+// kernel drains.
 type ParallelExec struct {
 	ks      []*Kernel
 	look    Time

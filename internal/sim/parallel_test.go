@@ -152,7 +152,7 @@ func TestKernelResetReplaysIdentically(t *testing.T) {
 	}
 	first := run()
 	k.Reset()
-	if k.Now() != 0 || k.Pending() != 0 || k.EventsFired() != 0 || k.LastFired() != 0 {
+	if k.Now() != 0 || k.Pending() != 0 || k.EventsFired() != 0 || k.lastAt != 0 {
 		t.Fatal("Reset did not clear kernel state")
 	}
 	second := run()

@@ -44,6 +44,9 @@ type Cell struct {
 // Validate reports the first out-of-range size of the cell, or nil.
 func (c Cell) Validate() error {
 	switch {
+	case c.Shape.Nodes() < 2:
+		// A single node has no channels to send on.
+		return fmt.Errorf("shape %s has %d node(s), a sweep needs >= 2", c.Shape, c.Shape.Nodes())
 	case c.Packets < 1:
 		return fmt.Errorf("packets per node must be >= 1 (got %d)", c.Packets)
 	case c.Warmup < 0:

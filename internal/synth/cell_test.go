@@ -6,19 +6,22 @@ import (
 	"testing"
 
 	"anton3/internal/packet"
+	"anton3/internal/topo"
 )
 
 // TestCellValidate pins the size checks the CLI runs before any job
 // builds: each out-of-range field is named in a readable error, and every
 // boundary value that a sweep can run passes.
 func TestCellValidate(t *testing.T) {
-	ok := Cell{Loads: []float64{0.5, 2}, Packets: 8, Warmup: 2}
+	ok := Cell{Shape: topo.Shape{X: 2, Y: 2, Z: 2}, Loads: []float64{0.5, 2}, Packets: 8, Warmup: 2}
 	cases := []struct {
 		name string
 		edit func(*Cell)
 		want string // error substring; "" = valid
 	}{
 		{"defaults", func(*Cell) {}, ""},
+		{"two nodes", func(c *Cell) { c.Shape = topo.Shape{X: 1, Y: 1, Z: 2} }, ""},
+		{"single node", func(c *Cell) { c.Shape = topo.Shape{X: 1, Y: 1, Z: 1} }, "shape 1x1x1 has 1 node(s), a sweep needs >= 2"},
 		{"one packet, no warmup", func(c *Cell) { c.Packets, c.Warmup = 1, 0 }, ""},
 		{"zero packets", func(c *Cell) { c.Packets = 0 }, "packets per node must be >= 1 (got 0)"},
 		{"negative packets", func(c *Cell) { c.Packets = -3 }, "packets per node must be >= 1 (got -3)"},
